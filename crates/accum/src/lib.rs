@@ -16,10 +16,9 @@
 //!
 //! [`SortAccumulator`] (expand-sort-compress, the ESC method of
 //! Bell/Dalton/Olson) is included as the classical baseline, and
-//! [`MergeBuffer`] adds BRMerge-style chained merging of sorted rows
-//! for the short-row/low-compression regime ([`merge`] module docs
-//! explain the bit-identicality constraint); [`choose_row_kernel`]
-//! picks between the three per row.
+//! [`MergeBuffer`] adds BRMerge-style chained merging of sorted rows,
+//! which the semiring executor uses ([`merge`] module docs explain the
+//! bit-identicality constraint).
 //!
 //! All accumulators implement [`Accumulator`] and produce identical
 //! sorted output; property tests assert the equivalence. The symbolic
@@ -57,7 +56,7 @@ pub use estimate::{
     build_model, row_upper_bounds, upper_bound_total, EstModel, EstimateConfig, EstimatorKind,
 };
 pub use hash::HashAccumulator;
-pub use merge::{choose_row_kernel, MergeBuffer, RowKernel, MERGE_FANIN_LIMIT};
+pub use merge::MergeBuffer;
 pub use scratch::{select_accumulator, RowScratch, ScratchPool, DENSE_WIDTH_LIMIT};
 pub use sort::{co_sort_pairs, SortAccumulator};
 

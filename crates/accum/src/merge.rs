@@ -5,10 +5,10 @@
 //! guarantees here — the sum can be computed by *merging* instead of
 //! hashing: each contributing row is already sorted, so a two-way merge
 //! produces the sorted output directly, with no hash probes and no
-//! flush-time sort. "Accelerating CPU-Based Sparse General Matrix
-//! Multiplication With Binary Row Merging" (PAPERS.md) shows this wins
-//! by large margins on short-row / low-compression products, exactly
-//! the regime the hybrid executor's stolen sparse tail lives in.
+//! flush-time sort. `cpu_spgemm::multiply_semiring` accumulates this way
+//! for every semiring; the `(+,×)` executors use the dense and hash
+//! accumulators (EXPERIMENTS.md records why a merge kernel did not pay
+//! off for them).
 //!
 //! **Bit-identicality constraint.** The workspace's ground truth
 //! (`reference::multiply` and both existing accumulators) folds the
@@ -21,65 +21,13 @@
 //! scaled copy of the first row and each subsequent row merges into it,
 //! reproducing the reference fold order exactly. The chain keeps the
 //! merge method's real advantages (sequential access, no hashing, no
-//! sort) and gives up only the tree's asymptotic depth — which the
-//! [`choose_row_kernel`] classifier accounts for by restricting the
-//! merge path to rows where the chain is cheap.
+//! sort) and gives up only the tree's asymptotic depth.
 
-use crate::{select_accumulator, AccumulatorKind};
 use sparse::ColId;
 
-/// Merge-path fan-in below which the left-leaning chain is always
-/// preferred over hashing: with at most this many contributing rows the
-/// chain re-scans the accumulator few enough times that sequential
-/// merging beats per-product hash probes regardless of compression.
-pub const MERGE_FANIN_LIMIT: usize = 16;
-
-/// Which numeric kernel the adaptive CPU path should run for one row,
-/// extending [`AccumulatorKind`] with the merge method.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RowKernel {
-    /// Dense array accumulation (relatively dense output rows).
-    Dense,
-    /// Hash-map accumulation (sparse rows with high compression).
-    Hash,
-    /// Chained two-way merging of sorted rows (short rows, low
-    /// compression).
-    Merge,
-}
-
-/// Picks the numeric kernel for one output row from its shape: `fan_in`
-/// contributing `B` rows (`nnz(A(i,·))`), `row_flops` intermediate
-/// products, `est_nnz` (upper-bound) output entries, and the panel
-/// `width`.
-///
-/// Dense keeps its existing selection (it amortizes by touched slot and
-/// is unbeatable when the row fills the panel). Among the sparse
-/// methods, the chain merge moves `O(Σ|acc|) ≤ fan_in · est_nnz`
-/// entries plus one scaled pass over the `row_flops` products, while
-/// hashing pays a probe per product plus a flush sort. Merge wins when
-/// the fan-in is small ([`MERGE_FANIN_LIMIT`]) or when the re-scan
-/// volume is within ~1.5× of the product volume
-/// (`2 · fan_in · est_nnz ≤ 3 · row_flops`) — i.e. low compression,
-/// where hashing gains nothing from merging duplicates but still pays
-/// for probing and sorting.
-#[inline]
-pub fn choose_row_kernel(fan_in: usize, row_flops: u64, est_nnz: usize, width: usize) -> RowKernel {
-    if select_accumulator(est_nnz, width) == AccumulatorKind::Dense {
-        return RowKernel::Dense;
-    }
-    if fan_in <= MERGE_FANIN_LIMIT
-        || 2 * (fan_in as u64).saturating_mul(est_nnz as u64) <= 3 * row_flops
-    {
-        RowKernel::Merge
-    } else {
-        RowKernel::Hash
-    }
-}
-
 /// Reusable buffer pair for chained two-way merges of scaled sorted
-/// rows. Lives inside `RowScratch`, so one bundle per worker serves
-/// every row; after warm-up no merge allocates (the same counting-
-/// allocator bar the other accumulators meet).
+/// rows. One buffer serves every row of a product; after warm-up no
+/// merge allocates.
 #[derive(Debug, Default)]
 pub struct MergeBuffer {
     acc_c: Vec<ColId>,
@@ -100,16 +48,6 @@ impl MergeBuffer {
     /// Creates an empty buffer (grows to its high-water mark on use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of entries currently accumulated.
-    pub fn len(&self) -> usize {
-        self.acc_c.len()
-    }
-
-    /// True if nothing is accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.acc_c.is_empty()
     }
 
     /// Merges the scaled rows `(scale, cols, vals)` — each sorted by
@@ -174,28 +112,6 @@ impl MergeBuffer {
             std::mem::swap(&mut self.acc_v, &mut self.tmp_v);
         }
         out(&self.acc_c, &self.acc_v);
-    }
-
-    /// `(+,×)` over f64: merges the scaled rows and writes the sorted
-    /// result into the caller's exact output slices (`out_c.len() ==
-    /// out_v.len() ==` the row's symbolic size), mirroring
-    /// `RowScratch::accumulate_row_into`.
-    pub fn merge_rows_into<'a>(
-        &mut self,
-        rows: impl IntoIterator<Item = (f64, &'a [ColId], &'a [f64])>,
-        out_c: &mut [ColId],
-        out_v: &mut [f64],
-    ) {
-        self.merge_rows_with(
-            |a, b| a + b,
-            |a, b| a * b,
-            rows,
-            |cols, vals| {
-                debug_assert_eq!(cols.len(), out_c.len(), "symbolic/merge row size mismatch");
-                out_c.copy_from_slice(cols);
-                out_v.copy_from_slice(vals);
-            },
-        );
     }
 }
 
@@ -280,26 +196,19 @@ mod tests {
     #[test]
     fn buffer_reuse_is_clean() {
         let mut buf = MergeBuffer::new();
-        let (c1, v1) = (vec![2u32, 9], vec![1.0, 2.0]);
-        let mut out_c = [0u32; 2];
-        let mut out_v = [0.0f64; 2];
-        buf.merge_rows_into(
-            [(1.0, c1.as_slice(), v1.as_slice())],
-            &mut out_c,
-            &mut out_v,
-        );
-        assert_eq!(out_c, [2, 9]);
+        let mut merge = |c: &[ColId], v: &[f64], scale: f64| {
+            let mut out = (Vec::new(), Vec::new());
+            buf.merge_rows_with(
+                |a, b| a + b,
+                |a, b| a * b,
+                [(scale, c, v)],
+                |c, v| out = (c.to_vec(), v.to_vec()),
+            );
+            out
+        };
+        assert_eq!(merge(&[2, 9], &[1.0, 2.0], 1.0).0, vec![2, 9]);
         // Second, unrelated row must not see the first.
-        let (c2, v2) = (vec![4u32], vec![5.0]);
-        let mut out_c = [0u32; 1];
-        let mut out_v = [0.0f64; 1];
-        buf.merge_rows_into(
-            [(2.0, c2.as_slice(), v2.as_slice())],
-            &mut out_c,
-            &mut out_v,
-        );
-        assert_eq!(out_c, [4]);
-        assert_eq!(out_v, [10.0]);
+        assert_eq!(merge(&[4], &[5.0], 2.0), (vec![4], vec![10.0]));
     }
 
     #[test]
@@ -321,19 +230,5 @@ mod tests {
         assert_eq!(out.0, vec![3, 5]);
         // col 3: min(1+2, 4+1) = 3; col 5: 1+9 = 10.
         assert_eq!(out.1, vec![3.0, 10.0]);
-    }
-
-    #[test]
-    fn classifier_picks_each_kernel() {
-        // Dense: expected fills >= 1/16 of a narrow panel.
-        assert_eq!(choose_row_kernel(40, 4000, 256, 1024), RowKernel::Dense);
-        // Merge: small fan-in.
-        assert_eq!(choose_row_kernel(8, 4000, 10, 1 << 20), RowKernel::Merge);
-        // Merge: low compression (flops ~ nnz) even at high fan-in.
-        assert_eq!(choose_row_kernel(100, 2000, 20, 1 << 20), RowKernel::Merge);
-        // Hash: high fan-in and high compression.
-        assert_eq!(choose_row_kernel(100, 2000, 2000, 1 << 20), RowKernel::Hash);
-        // Empty row degenerates to (trivial) merge.
-        assert_eq!(choose_row_kernel(0, 0, 0, 1 << 20), RowKernel::Merge);
     }
 }

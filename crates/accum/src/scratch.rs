@@ -18,7 +18,7 @@
 use crate::counter::SymbolicCounter;
 use crate::{
     choose_accumulator, Accumulator, AccumulatorKind, DenseAccumulator, DenseCounter,
-    HashAccumulator, HashCounter, MergeBuffer,
+    HashAccumulator, HashCounter,
 };
 use sparse::ColId;
 use std::sync::Mutex;
@@ -49,7 +49,6 @@ pub struct RowScratch {
     hash_counter: HashCounter,
     dense: DenseAccumulator,
     hash: HashAccumulator,
-    merge: MergeBuffer,
     /// Staging columns for the row being flushed.
     pub cols: Vec<ColId>,
     /// Staging values for the row being flushed.
@@ -69,7 +68,6 @@ impl Default for RowScratch {
             hash_counter: HashCounter::with_expected(64),
             dense: DenseAccumulator::new(0),
             hash: HashAccumulator::with_expected(64),
-            merge: MergeBuffer::new(),
             cols: Vec::new(),
             vals: Vec::new(),
             flops_buf: Vec::new(),
@@ -111,21 +109,23 @@ impl RowScratch {
     /// Accumulates one numeric row from a stream of `(col, val)`
     /// products and writes the sorted result into the caller's exact
     /// output slices (`out_c.len() == out_v.len() ==` the row's
-    /// symbolic size). `expected` selects dense vs hash accumulation.
+    /// symbolic size), accumulating with `kind` — the caller's policy:
+    /// the GPU-phase engine passes [`select_accumulator`], the CPU
+    /// baseline picks by `width` alone.
     ///
     /// Allocation-free at steady state: the accumulators and staging
     /// vectors retain their high-water capacity across rows and chunks.
     pub fn accumulate_row_into(
         &mut self,
         products: impl IntoIterator<Item = (ColId, f64)>,
-        expected: usize,
+        kind: AccumulatorKind,
         width: usize,
         out_c: &mut [ColId],
         out_v: &mut [f64],
     ) {
         self.cols.clear();
         self.vals.clear();
-        match select_accumulator(expected, width) {
+        match kind {
             AccumulatorKind::Dense => {
                 self.dense.ensure_width(width);
                 let acc = &mut self.dense;
@@ -146,21 +146,6 @@ impl RowScratch {
         );
         out_c.copy_from_slice(&self.cols);
         out_v.copy_from_slice(&self.vals);
-    }
-
-    /// Accumulates one numeric row by chained merging of the scaled
-    /// sorted rows `(scale, cols, vals)` into the caller's exact output
-    /// slices — the merge counterpart of
-    /// [`RowScratch::accumulate_row_into`], with the same fold order
-    /// (bit-identical output) and the same zero-steady-state-allocation
-    /// bar.
-    pub fn merge_row_into<'a>(
-        &mut self,
-        rows: impl IntoIterator<Item = (f64, &'a [ColId], &'a [f64])>,
-        out_c: &mut [ColId],
-        out_v: &mut [f64],
-    ) {
-        self.merge.merge_rows_into(rows, out_c, out_v);
     }
 
     /// Leases the bundle's dense accumulator grown to `width` — for
@@ -235,16 +220,22 @@ mod tests {
         let mut s = RowScratch::new();
         let mut c = [0u32; 2];
         let mut v = [0.0f64; 2];
-        // Dense path (expected fills >= 1/16 of the width).
-        s.accumulate_row_into([(7u32, 1.0), (3, 2.0), (7, 0.5)], 2, 10, &mut c, &mut v);
+        // Dense path.
+        s.accumulate_row_into(
+            [(7u32, 1.0), (3, 2.0), (7, 0.5)],
+            AccumulatorKind::Dense,
+            10,
+            &mut c,
+            &mut v,
+        );
         assert_eq!(c, [3, 7]);
         assert_eq!(v, [2.0, 1.5]);
-        // Hash path (sparse row in a wide panel), reusing the bundle.
+        // Hash path (wide panel), reusing the bundle.
         let mut c = [0u32; 2];
         let mut v = [0.0f64; 2];
         s.accumulate_row_into(
             [(90u32, 1.0), (5, 2.0), (90, 0.5)],
-            2,
+            AccumulatorKind::Hash,
             1 << 20,
             &mut c,
             &mut v,

@@ -269,19 +269,6 @@ fn main() {
         println!("{}", cal.table());
         std::fs::write(args.out.join("BENCH_cpu_calibration.json"), cal.to_json())
             .expect("write BENCH_cpu_calibration.json");
-
-        println!("## CPU kernels: hash vs dense vs merge vs adaptive\n");
-        eprintln!(
-            "[{:6.1}s] running cpu-kernel comparison...",
-            t0.elapsed().as_secs_f64()
-        );
-        let rows = bench::cpu_kernels::run_all(args.scale);
-        println!("{}", bench::cpu_kernels::table(&rows));
-        std::fs::write(
-            args.out.join("BENCH_cpu_kernels.json"),
-            bench::cpu_kernels::to_json(&rows),
-        )
-        .expect("write BENCH_cpu_kernels.json");
     }
 
     if wants(&args, "estimate") {

@@ -67,7 +67,7 @@ fn usage() -> ! {
          \x20      [--host-fault-seed N] [--host-fault-rate R] [--deadline-ns N]\n\
          \x20      [--estimator exact|upper-bound|row-sample|hash-sketch]\n\
          \x20      [--sample-rate R] [--headroom H]\n\
-         \x20      [--cpu-kernel hash|dense|merge|adaptive]\n\
+         \x20      [--cpu-kernel hash|dense]\n\
          \x20      [--out FILE.mtx|FILE.spb] [--trace FILE.json] [--metrics-out FILE.json]"
     );
     std::process::exit(2)
@@ -386,10 +386,10 @@ fn main() {
     }
     config = config.estimator(est);
 
-    // CPU kernel selection (default adaptive): drives the real CPU
-    // executor and the per-chunk CPU pricing class everywhere the
-    // simulated runs demote or assign work to the host. Bad values are
-    // exit 2 before any work starts, like --estimator.
+    // CPU kernel selection (default hash). Only the cpu executor runs a
+    // CPU kernel; the simulated executors price their CPU chunks with
+    // the cost model. Bad values are exit 2 before any work starts,
+    // like --estimator.
     let cpu_kernel: cpu_spgemm::CpuKernel = match args.cpu_kernel.as_deref() {
         Some(v) => v.parse().unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -397,7 +397,13 @@ fn main() {
         }),
         None => cpu_spgemm::CpuKernel::default(),
     };
-    config = config.cpu_kernel(cpu_kernel);
+    if args.cpu_kernel.is_some() && args.executor != "cpu" {
+        eprintln!(
+            "warning: --cpu-kernel has no effect with --executor {} (only the cpu \
+             executor runs a CPU kernel); flag ignored",
+            args.executor
+        );
+    }
 
     // The estimator only drives planning in speculative (async)
     // pipelines — gpu-async, hybrid, and multi-gpu consume it. The
@@ -466,18 +472,9 @@ fn main() {
 
     let (c, sim_ns, timeline, recovery, metrics, scheduler) = match args.executor.as_str() {
         "cpu" => {
-            let c = if cpu_kernel == cpu_spgemm::CpuKernel::Adaptive {
-                let (c, picks) = cpu_spgemm::multiply_with_picks(&a, &a).expect("cpu multiply");
-                println!(
-                    "cpu kernel: adaptive ({} hash / {} dense / {} merge row groups)",
-                    picks.hash, picks.dense, picks.merge
-                );
-                c
-            } else {
-                println!("cpu kernel: {cpu_kernel}");
-                cpu_spgemm::multiply_with_kernel(&a, &a, cpu_kernel).expect("cpu multiply")
-            };
-            let ns = config.cpu_chunk_ns(stats.flops, stats.nnz_c);
+            println!("cpu kernel: {cpu_kernel}");
+            let c = cpu_spgemm::multiply_with_kernel(&a, &a, cpu_kernel).expect("cpu multiply");
+            let ns = config.cost.cpu_chunk_duration(stats.flops, stats.nnz_c);
             (c, ns, None, None, None, None)
         }
         "gpu-sync" | "gpu-async" => {

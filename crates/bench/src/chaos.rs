@@ -209,7 +209,7 @@ fn run_async(cfg: &OocConfig, a: &CsrMatrix) -> CellRun {
 }
 
 fn run_spill(cfg: &OocConfig, a: &CsrMatrix, tag: &str) -> CellRun {
-    let dir = std::env::temp_dir().join(format!("oocgemm_chaos_{}_{tag}", std::process::id()));
+    let dir = sparse::io::unique_temp_dir(&format!("oocgemm_chaos_{tag}"));
     let result = oocgemm::multiply_to_disk(a, a, cfg, &dir);
     let out = match result {
         Ok(run) => match run.c.load_all() {

@@ -15,7 +15,6 @@
 pub mod chaos;
 pub mod chunk_prep_bench;
 pub mod cpu_calibration;
-pub mod cpu_kernels;
 pub mod estimate_bench;
 pub mod experiments;
 pub mod planner_bench;

@@ -3,8 +3,7 @@
 use crate::faults::HostFaultPlan;
 use crate::recovery::{RecoveryPolicy, RunBudget};
 use accum::estimate::{EstimateConfig, EstimatorKind};
-use cpu_spgemm::CpuKernel;
-use gpu_sim::{CostModel, CpuKernelClass, DeviceProps, FaultPlan};
+use gpu_sim::{CostModel, DeviceProps, FaultPlan};
 use sparse::partition::ColPartitioner;
 
 /// Synchronous vs asynchronous out-of-core execution (Section IV).
@@ -97,12 +96,6 @@ pub struct OocConfig {
     /// request's service-level deadline from arrival, driving
     /// earliest-deadline dispatch (DESIGN.md §14).
     pub budget: Option<RunBudget>,
-    /// Which CPU SpGEMM kernel the CPU side runs (and is priced for):
-    /// CPU-assigned hybrid chunks, demoted/recovered chunks, and the
-    /// multi-GPU CPU worker. `Adaptive` (the default) dispatches per
-    /// row group; fixed values force one method, mainly for
-    /// benchmarking and the `--cpu-kernel` sweep.
-    pub cpu_kernel: CpuKernel,
 }
 
 impl OocConfig {
@@ -129,7 +122,6 @@ impl OocConfig {
             estimator: EstimateConfig::default(),
             host_faults: None,
             budget: None,
-            cpu_kernel: CpuKernel::default(),
         }
     }
 
@@ -174,43 +166,6 @@ impl OocConfig {
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = Some(budget);
         self
-    }
-
-    /// Selects the CPU SpGEMM kernel (see [`CpuKernel`]).
-    pub fn cpu_kernel(mut self, kernel: CpuKernel) -> Self {
-        self.cpu_kernel = kernel;
-        self
-    }
-
-    /// The pricing class the configured CPU kernel resolves to for a
-    /// chunk with the given flops and output size. Fixed kernels map
-    /// directly; `Adaptive` prices as merge on low-compression chunks
-    /// (`flops <= 4·nnz`, where merging's sequential passes beat hash
-    /// probes) and as hash otherwise. Chunk-level pricing sees no panel
-    /// width, so the dense class is only reachable by fixing
-    /// [`CpuKernel::Dense`].
-    pub fn cpu_kernel_class(&self, flops: u64, nnz: u64) -> CpuKernelClass {
-        match self.cpu_kernel {
-            CpuKernel::Hash => CpuKernelClass::Hash,
-            CpuKernel::Dense => CpuKernelClass::Dense,
-            CpuKernel::Merge => CpuKernelClass::Merge,
-            CpuKernel::Adaptive => {
-                if flops <= 4 * nnz.max(1) {
-                    CpuKernelClass::Merge
-                } else {
-                    CpuKernelClass::Hash
-                }
-            }
-        }
-    }
-
-    /// Modeled CPU time for one chunk, priced for the configured
-    /// kernel. With no measured calibration installed this equals the
-    /// base `cpu_chunk_duration` for every kernel choice, so default
-    /// schedules are unchanged.
-    pub fn cpu_chunk_ns(&self, flops: u64, nnz: u64) -> gpu_sim::SimTime {
-        self.cost
-            .cpu_chunk_duration_for(self.cpu_kernel_class(flops, nnz), flops, nnz)
     }
 
     /// Sets the recovery policy used under a fault plan.
@@ -477,28 +432,6 @@ mod tests {
             .is_ok());
         let h = HybridConfig::paper_default().ratio(-0.1);
         assert!(h.validate().is_err());
-    }
-
-    #[test]
-    fn cpu_kernel_pricing_classes() {
-        let c = OocConfig::paper_default();
-        assert_eq!(c.cpu_kernel, CpuKernel::Adaptive);
-        // Adaptive: low compression prices as merge, high as hash.
-        assert_eq!(c.cpu_kernel_class(1000, 500), CpuKernelClass::Merge);
-        assert_eq!(c.cpu_kernel_class(1000, 10), CpuKernelClass::Hash);
-        // Fixed kernels map directly.
-        let fixed = OocConfig::paper_default().cpu_kernel(CpuKernel::Dense);
-        assert_eq!(fixed.cpu_kernel_class(1000, 10), CpuKernelClass::Dense);
-        // Without a measured table every class prices like the base
-        // model, so the default schedule cannot shift.
-        assert_eq!(
-            c.cpu_chunk_ns(1_000_000, 250_000),
-            c.cost.cpu_chunk_duration(1_000_000, 250_000)
-        );
-        assert_eq!(
-            fixed.cpu_chunk_ns(1_000_000, 250_000),
-            c.cpu_chunk_ns(1_000_000, 250_000)
-        );
     }
 
     #[test]

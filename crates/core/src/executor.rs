@@ -465,7 +465,8 @@ pub(crate) fn simulate_order_recovering(
                         WorkSource::Orig(id) => pg.chunk(id),
                         WorkSource::Sub(si) => &sub_store[si],
                     };
-                    cpu_total = cpu_total.saturating_add(config.cpu_chunk_ns(p.flops, p.nnz));
+                    cpu_total =
+                        cpu_total.saturating_add(config.cost.cpu_chunk_duration(p.flops, p.nnz));
                 }
                 if elapsed.saturating_add(cpu_total) > b.sim_deadline_ns {
                     let pending_parents: std::collections::HashSet<ChunkId> =
@@ -507,7 +508,7 @@ pub(crate) fn simulate_order_recovering(
                         WorkSource::Orig(id) => pg.chunk(id),
                         WorkSource::Sub(si) => &sub_store[si],
                     };
-                    let cpu_ns = config.cpu_chunk_ns(p.flops, p.nnz);
+                    let cpu_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
                     if let Some(h) = host.as_mut() {
                         let mut attempt = 0u32;
                         while h.roll(HostFaultKind::CpuKernel) {
@@ -696,7 +697,7 @@ pub(crate) fn simulate_order_recovering(
                         WorkSource::Orig(id) => pg.chunk(id),
                         WorkSource::Sub(si) => &sub_store[si],
                     };
-                    let cpu_ns = config.cpu_chunk_ns(p.flops, p.nnz);
+                    let cpu_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
                     sim.note_recovery(format!(
                         "demote chunk ({},{}) rows {}..{} to CPU",
                         w.parent.row, w.parent.col, w.rows.start, w.rows.end

@@ -21,7 +21,7 @@ use crate::executor::{
     simulate_order_recovering, PreparedGrid,
 };
 use crate::faults::{self, HostFaultKind, HostFaultState};
-use crate::metrics::{CpuKernelStats, Metrics, SchedulerStats};
+use crate::metrics::{Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::scheduler::assign;
@@ -168,21 +168,13 @@ impl Hybrid {
 
     /// CPU-side completion time for a chunk set: the CPU worker
     /// processes its chunks one after another, each with all cores
-    /// (Algorithm 4 line 26). Every chunk is priced under the
-    /// configured CPU kernel's per-class cost (the adaptive classifier
-    /// picks a class per chunk); each pick is recorded into `picks`.
-    fn cpu_time(
-        &self,
-        pg: &PreparedGrid,
-        chunks: &[ChunkInfo],
-        picks: &mut CpuKernelStats,
-    ) -> SimTime {
+    /// (Algorithm 4 line 26).
+    fn cpu_time(&self, pg: &PreparedGrid, chunks: &[ChunkInfo]) -> SimTime {
         chunks
             .iter()
             .map(|info| {
                 let p = pg.chunk(info.id);
-                picks.record(self.config.gpu.cpu_kernel_class(p.flops, p.nnz));
-                self.config.gpu.cpu_chunk_ns(p.flops, p.nnz)
+                self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz)
             })
             .sum()
     }
@@ -262,8 +254,7 @@ impl Hybrid {
             }
             None => metrics,
         };
-        let mut kernel_picks = CpuKernelStats::new(self.config.gpu.cpu_kernel.name());
-        let mut cpu_ns = self.cpu_time(pg, &assignment.cpu, &mut kernel_picks);
+        let mut cpu_ns = self.cpu_time(pg, &assignment.cpu);
         // The CPU worker is its own host fault domain: transient
         // CPU-kernel faults cost a recompute plus backoff on the CPU
         // clock. Assignment and scheduling stay fault-blind so the
@@ -272,7 +263,7 @@ impl Hybrid {
             let mut host = HostFaultState::new(hp.derive(faults::streams::CPU_WORKER));
             for info in &assignment.cpu {
                 let p = pg.chunk(info.id);
-                let chunk_ns = self.config.gpu.cpu_chunk_ns(p.flops, p.nnz);
+                let chunk_ns = self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz);
                 let mut attempt = 0u32;
                 while host.roll(HostFaultKind::CpuKernel) {
                     attempt += 1;
@@ -290,8 +281,7 @@ impl Hybrid {
             // pays for recomputing every orphaned GPU chunk.
             for info in &assignment.gpu {
                 let p = pg.chunk(info.id);
-                kernel_picks.record(self.config.gpu.cpu_kernel_class(p.flops, p.nnz));
-                cpu_ns += self.config.gpu.cpu_chunk_ns(p.flops, p.nnz);
+                cpu_ns += self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz);
                 recovery.demotions += 1;
             }
         }
@@ -335,11 +325,7 @@ impl Hybrid {
             timeline,
             plan: pg.plan.clone(),
             recovery,
-            metrics: if kernel_picks.total() > 0 {
-                metrics.with_scheduler(stats).with_cpu_kernels(kernel_picks)
-            } else {
-                metrics.with_scheduler(stats)
-            },
+            metrics: metrics.with_scheduler(stats),
             scheduler: stats,
             c,
         })
@@ -559,7 +545,7 @@ impl Hybrid {
         for g in 0..=order.len() {
             let gpu_order = ChunkGrid::grouped_desc(&order[..g]);
             let (gpu_ns, _, _) = self.gpu_time(&pg, &gpu_order)?;
-            let cpu_ns = self.cpu_time(&pg, &order[g..], &mut CpuKernelStats::default());
+            let cpu_ns = self.cpu_time(&pg, &order[g..]);
             per_g.push((g, gpu_ns.max(cpu_ns)));
         }
         let &(best_g, best_ns) = per_g

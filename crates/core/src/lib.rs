@@ -74,8 +74,8 @@ pub use faults::{HostFaultKind, HostFaultPlan, HostFaultState, HostFaultStats};
 pub use gpu_sim::FaultPlan;
 pub use hybrid::{auto_gpu_ratio, Hybrid, HybridRun, RatioSearch};
 pub use metrics::{
-    ChunkMetrics, CpuKernelStats, DegradationCause, DegradationEvent, DemotionCause,
-    EstimatorStats, Metrics, SchedulerStats, ServiceStats, TenantStats,
+    ChunkMetrics, DegradationCause, DegradationEvent, DemotionCause, EstimatorStats, Metrics,
+    SchedulerStats, ServiceStats, TenantStats,
 };
 pub use multigpu::{multiply_multi_gpu, MultiGpuConfig, MultiGpuRun};
 pub use plan::{PanelPlan, Planner};

@@ -25,7 +25,7 @@ use crate::executor::{
     estimator_stats, prepare_grid, simulate_order, simulate_order_recovering, PreparedGrid,
 };
 use crate::faults::{self, HostFaultKind, HostFaultState};
-use crate::metrics::{CpuKernelStats, Metrics, SchedulerStats};
+use crate::metrics::{Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::Result;
@@ -173,7 +173,7 @@ fn distribute(
                     if w < config.num_gpus {
                         gpu_chunk_estimate(cost, p, config.gpu.pinned)
                     } else {
-                        config.gpu.cpu_chunk_ns(p.flops, p.nnz)
+                        cost.cpu_chunk_duration(p.flops, p.nnz)
                     }
                 };
                 let Some(best_w) = (0..workers).min_by_key(|&w| (loads[w] + est(w), w)) else {
@@ -214,7 +214,7 @@ fn distribute(
                     let info = order[tail];
                     cpu_steals += 1;
                     let p = pg.chunk(info.id);
-                    clocks[w] += config.gpu.cpu_chunk_ns(p.flops, p.nnz);
+                    clocks[w] += cost.cpu_chunk_duration(p.flops, p.nnz);
                     info
                 };
                 assignment[w].push(info);
@@ -307,12 +307,10 @@ pub fn multiply_multi_gpu(
             .host_faults
             .as_ref()
             .map(|p| HostFaultState::new(p.derive(faults::streams::CPU_WORKER)));
-        let mut kernel_picks = CpuKernelStats::new(config.gpu.cpu_kernel.name());
         let mut t: SimTime = 0;
         for info in chunks {
             let p = pg.chunk(info.id);
-            kernel_picks.record(config.gpu.cpu_kernel_class(p.flops, p.nnz));
-            let chunk_ns = config.gpu.cpu_chunk_ns(p.flops, p.nnz);
+            let chunk_ns = cost.cpu_chunk_duration(p.flops, p.nnz);
             if let Some(state) = host.as_mut() {
                 let mut attempt = 0u32;
                 while state.roll(HostFaultKind::CpuKernel) {
@@ -326,11 +324,6 @@ pub fn multiply_multi_gpu(
                 }
             }
             t += chunk_ns;
-        }
-        // The CPU worker is shared across the node, like the estimator:
-        // report its kernel dispatch once, on device 0.
-        if let (true, Some(m0)) = (kernel_picks.total() > 0, metrics.first_mut()) {
-            *m0 = std::mem::take(m0).with_cpu_kernels(kernel_picks);
         }
         (t, chunks.len())
     } else {

@@ -571,7 +571,7 @@ mod tests {
     use sparse::gen::erdos_renyi;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("oocgemm_spill_{}_{tag}", std::process::id()));
+        let dir = sparse::io::unique_temp_dir(&format!("oocgemm_spill_{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

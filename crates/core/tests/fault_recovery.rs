@@ -10,8 +10,8 @@
 use cpu_spgemm::reference;
 use gpu_sim::OpKind;
 use oocgemm::{
-    multiply_multi_gpu, CpuKernel, FaultPlan, HostFaultPlan, Hybrid, HybridConfig, MultiGpuConfig,
-    OocConfig, OocError, OutOfCoreGpu, RecoveryPolicy,
+    multiply_multi_gpu, FaultPlan, Hybrid, HybridConfig, MultiGpuConfig, OocConfig, OocError,
+    OutOfCoreGpu, RecoveryPolicy,
 };
 use proptest::prelude::*;
 use sparse::gen::erdos_renyi;
@@ -182,61 +182,6 @@ fn multi_gpu_with_faults_matches_fault_free() {
     );
     for t in &run.timelines {
         t.validate().unwrap();
-    }
-}
-
-#[test]
-fn cpu_kernel_sweep_is_bit_identical_under_faults() {
-    // The acceptance sweep for the adaptive dispatch work: every CPU
-    // kernel choice — fixed and adaptive — must survive combined
-    // device + host fault plans on both the hybrid and the multi-GPU
-    // paths with output bit-identical to the clean hybrid run.
-    let a = erdos_renyi(400, 400, 0.03, 21);
-    let clean = Hybrid::new(HybridConfig {
-        gpu: base_config().panels(3, 4),
-        ..HybridConfig::paper_default()
-    })
-    .multiply(&a, &a)
-    .unwrap();
-    let expect = reference::multiply(&a, &a).unwrap();
-    assert!(clean.c.approx_eq(&expect, 1e-9));
-
-    let faulty_gpu = |kernel: CpuKernel| {
-        base_config()
-            .panels(3, 4)
-            .cpu_kernel(kernel)
-            .fault_plan(FaultPlan::seeded(17).all_rates(0.2))
-            .host_faults(HostFaultPlan::seeded(23).all_rates(0.2))
-    };
-    for kernel in CpuKernel::all() {
-        let hybrid = Hybrid::new(HybridConfig {
-            gpu: faulty_gpu(kernel),
-            ..HybridConfig::paper_default()
-        })
-        .multiply(&a, &a)
-        .unwrap();
-        assert_eq!(
-            hybrid.c, clean.c,
-            "hybrid --cpu-kernel {kernel} changed C under faults"
-        );
-        assert!(
-            hybrid.recovery.faults() + hybrid.recovery.host_faults() > 0,
-            "fault plan must fire for kernel {kernel}"
-        );
-
-        let multi = multiply_multi_gpu(
-            &a,
-            &a,
-            &MultiGpuConfig {
-                gpu: faulty_gpu(kernel),
-                ..MultiGpuConfig::new(2)
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            multi.c, clean.c,
-            "multi-gpu --cpu-kernel {kernel} changed C under faults"
-        );
     }
 }
 

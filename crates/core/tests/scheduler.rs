@@ -167,51 +167,6 @@ fn measured_cpu_model_shifts_realized_ratio() {
 }
 
 #[test]
-fn kernel_table_prices_kernel_choice_into_the_auction() {
-    // With a measured per-kernel table installed, selecting a faster
-    // CPU kernel must shift chunks toward the CPU — same C, different
-    // split — and the pick accounting must name the configured kernel.
-    let a = fixture();
-    let paper = gpu_sim::CostModel::calibrated();
-    let base_cost = gpu_sim::CpuKernelCost {
-        flop_rate: paper.cpu_flop_rate,
-        insert_ns: paper.cpu_insert_ns,
-        chunk_overhead_ns: paper.cpu_chunk_overhead_ns,
-    };
-    let table = gpu_sim::CpuKernelTable {
-        hash: base_cost,
-        dense: base_cost,
-        merge: gpu_sim::CpuKernelCost {
-            flop_rate: paper.cpu_flop_rate * 30.0,
-            insert_ns: paper.cpu_insert_ns / 30.0,
-            chunk_overhead_ns: 0,
-        },
-    };
-    let run_with = |kernel: oocgemm::CpuKernel| {
-        let mut cfg = base();
-        cfg.gpu.cost = paper.clone().with_measured_cpu_kernels(table);
-        cfg.gpu = cfg.gpu.cpu_kernel(kernel);
-        Hybrid::new(cfg).multiply(&a, &a).unwrap()
-    };
-    let hash = run_with(oocgemm::CpuKernel::Hash);
-    let merge = run_with(oocgemm::CpuKernel::Merge);
-    assert_eq!(hash.c, merge.c, "kernel pricing must never change C");
-    assert!(
-        merge.scheduler.realized_gpu_ratio < hash.scheduler.realized_gpu_ratio,
-        "the cheap merge kernel must pull work onto the CPU: {} vs {}",
-        merge.scheduler.realized_gpu_ratio,
-        hash.scheduler.realized_gpu_ratio
-    );
-    let picks = merge.metrics.cpu_kernels.as_ref().expect("CPU side ran");
-    assert_eq!(picks.kernel, "merge");
-    assert_eq!(picks.merge_picks, picks.total());
-    assert!(picks.total() > 0);
-    let json = merge.metrics.to_json();
-    assert!(json.contains("\"cpu_kernels\""), "{json}");
-    assert!(json.contains("\"kernel\": \"merge\""));
-}
-
-#[test]
 fn scheduler_stats_flow_into_metrics_json() {
     let a = fixture();
     let run = Hybrid::new(base()).multiply(&a, &a).unwrap();

@@ -2,29 +2,28 @@
 
 //! CPU SpGEMM executors.
 //!
-//! Six implementations with one signature, `C = A · B` on CSR inputs:
+//! Four implementations with one signature, `C = A · B` on CSR inputs:
 //!
 //! * [`reference::multiply`] — sequential Gustavson (paper Algorithm 1);
 //!   the ground truth every other executor in the workspace is verified
 //!   against.
 //! * [`parallel_hash`] — a Nagasaka-et-al.-style multicore two-phase
-//!   hash SpGEMM: per-row flop analysis, symbolic count, exact
-//!   allocation, numeric fill with per-worker accumulators. This is the
-//!   paper's CPU baseline and the CPU side of its hybrid executor
-//!   (Section III-C).
-//! * [`brmerge`] — BRMerge-style chained merging of sorted rows; wins
-//!   on short-row / low-compression products (PAPERS.md).
-//! * [`adaptive`] — per-row dispatch between hash, dense, and merge
-//!   accumulation via [`accum::choose_row_kernel`]; the default CPU
-//!   path ([`CpuKernel::Adaptive`]).
+//!   SpGEMM: per-row flop analysis, symbolic count, exact allocation,
+//!   numeric fill with per-worker accumulators. One rule picks the
+//!   accumulator: dense while `b.n_cols() ≤ accum::DENSE_WIDTH_LIMIT`,
+//!   hash beyond. This is the paper's CPU baseline, the CPU side of its
+//!   hybrid executor (Section III-C), and the default
+//!   ([`CpuKernel::Hash`]).
 //! * [`dense_blocked`] — a Patwary-et-al.-style variant that partitions
-//!   `B` into column panels so a dense accumulator stays cache-resident.
+//!   `B` into column panels so a dense accumulator stays cache-resident
+//!   ([`CpuKernel::Dense`]).
 //! * [`mkl_like`] — a baseline constrained to 32-bit `row_offsets` /
 //!   `col_ids`, reproducing the MKL limitation that made the paper
 //!   reject it ("it can not handle large matrices", Section III-C).
 //!
 //! All of them produce bit-identical `C`; [`multiply_with_kernel`]
-//! dispatches on a [`CpuKernel`] selection.
+//! dispatches on a [`CpuKernel`] selection. [`multiply_semiring`]
+//! generalizes Gustavson's loop to other semirings.
 //!
 //! ```
 //! use sparse::gen::erdos_renyi;
@@ -35,16 +34,12 @@
 //! assert!(fast.approx_eq(&reference, 1e-9));
 //! ```
 
-pub mod adaptive;
-pub mod brmerge;
 pub mod dense_blocked;
 pub mod mkl_like;
 pub mod parallel_hash;
 pub mod reference;
 pub mod semiring;
 
-pub use adaptive::{multiply_with_picks, KernelPicks};
-pub use brmerge::{multiply as multiply_brmerge, multiply_view as multiply_brmerge_view};
 pub use parallel_hash::{multiply as multiply_parallel, multiply_view as multiply_parallel_view};
 pub use reference::multiply as multiply_reference;
 pub use semiring::{multiply_semiring, Semiring};
@@ -52,21 +47,18 @@ pub use semiring::{multiply_semiring, Semiring};
 use sparse::{CsrMatrix, Result, SparseError};
 use std::str::FromStr;
 
-/// Which CPU SpGEMM kernel to run — the `OocConfig` / `--cpu-kernel`
-/// selection. Every variant produces bit-identical `C`; they differ
-/// only in speed per row shape.
+/// Which CPU SpGEMM kernel to run — the `--cpu-kernel` selection. Both
+/// variants produce bit-identical `C`; they are the paper's two CPU
+/// baselines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CpuKernel {
-    /// Two-phase hash SpGEMM ([`parallel_hash`]) — the paper's CPU
-    /// baseline.
-    Hash,
-    /// Column-panelled dense accumulation ([`dense_blocked`]).
-    Dense,
-    /// Chained row merging ([`brmerge`]).
-    Merge,
-    /// Per-row dispatch between the three ([`adaptive`]) — the default.
+    /// Two-phase SpGEMM ([`parallel_hash`], Nagasaka et al.) — the
+    /// default.
     #[default]
-    Adaptive,
+    Hash,
+    /// Column-panelled dense accumulation ([`dense_blocked`], Patwary
+    /// et al.).
+    Dense,
 }
 
 impl CpuKernel {
@@ -75,19 +67,7 @@ impl CpuKernel {
         match self {
             CpuKernel::Hash => "hash",
             CpuKernel::Dense => "dense",
-            CpuKernel::Merge => "merge",
-            CpuKernel::Adaptive => "adaptive",
         }
-    }
-
-    /// All selectable kernels, fixed kernels first.
-    pub fn all() -> [CpuKernel; 4] {
-        [
-            CpuKernel::Hash,
-            CpuKernel::Dense,
-            CpuKernel::Merge,
-            CpuKernel::Adaptive,
-        ]
     }
 }
 
@@ -98,10 +78,8 @@ impl FromStr for CpuKernel {
         match s {
             "hash" => Ok(CpuKernel::Hash),
             "dense" => Ok(CpuKernel::Dense),
-            "merge" => Ok(CpuKernel::Merge),
-            "adaptive" => Ok(CpuKernel::Adaptive),
             other => Err(format!(
-                "unknown cpu kernel '{other}' (expected hash, dense, merge, or adaptive)"
+                "unknown cpu kernel '{other}' (expected hash or dense)"
             )),
         }
     }
@@ -118,9 +96,42 @@ pub fn multiply_with_kernel(a: &CsrMatrix, b: &CsrMatrix, kernel: CpuKernel) -> 
     match kernel {
         CpuKernel::Hash => parallel_hash::multiply(a, b),
         CpuKernel::Dense => dense_blocked::multiply(a, b),
-        CpuKernel::Merge => brmerge::multiply(a, b),
-        CpuKernel::Adaptive => adaptive::multiply(a, b),
     }
+}
+
+/// How many non-empty output rows the default kernel accumulated with
+/// each method.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelPicks {
+    /// Rows accumulated with the hash method.
+    pub hash: u64,
+    /// Rows accumulated with the dense array.
+    pub dense: u64,
+    /// Always 0: no CPU kernel merges rows. Kept only because the
+    /// `e2e` benchmark reads it.
+    pub merge: u64,
+}
+
+/// [`multiply_with_kernel`] with the default kernel, also reporting how
+/// many non-empty rows each accumulator handled. The counts are read off
+/// `C`: [`parallel_hash`] picks by width alone, so every non-empty row
+/// is dense when `b.n_cols() ≤ accum::DENSE_WIDTH_LIMIT` and hash
+/// otherwise.
+pub fn multiply_with_picks(a: &CsrMatrix, b: &CsrMatrix) -> Result<(CsrMatrix, KernelPicks)> {
+    let c = multiply_with_kernel(a, b, CpuKernel::default())?;
+    let rows = c.row_offsets().windows(2).filter(|w| w[1] > w[0]).count() as u64;
+    let picks = if b.n_cols() <= accum::DENSE_WIDTH_LIMIT {
+        KernelPicks {
+            dense: rows,
+            ..KernelPicks::default()
+        }
+    } else {
+        KernelPicks {
+            hash: rows,
+            ..KernelPicks::default()
+        }
+    };
+    Ok((c, picks))
 }
 
 pub(crate) fn check_dims(a_rows: usize, a_cols: usize, b_rows: usize, b_cols: usize) -> Result<()> {
@@ -136,6 +147,34 @@ pub(crate) fn check_dims(a_rows: usize, a_cols: usize, b_rows: usize, b_cols: us
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    #[test]
+    fn picks_follow_the_width_rule() {
+        let a = sparse::gen::erdos_renyi(40, 40, 0.1, 1);
+        let (c, picks) = multiply_with_picks(&a, &a).unwrap();
+        let rows = (0..c.n_rows())
+            .filter(|&r| !c.row_cols(r).is_empty())
+            .count();
+        assert_eq!(
+            picks,
+            KernelPicks {
+                dense: rows as u64,
+                ..KernelPicks::default()
+            }
+        );
+        assert_eq!(c, multiply_reference(&a, &a).unwrap());
+    }
+
+    #[test]
+    fn kernel_names_round_trip() {
+        for k in [CpuKernel::Hash, CpuKernel::Dense] {
+            assert_eq!(k.name().parse::<CpuKernel>(), Ok(k));
+        }
+        assert!("merge".parse::<CpuKernel>().is_err());
+        assert_eq!(CpuKernel::default(), CpuKernel::Hash);
+    }
+
     #[test]
     fn dim_check() {
         assert!(super::check_dims(2, 3, 3, 4).is_ok());

@@ -10,8 +10,11 @@
 //!    otherwise) and produces exact `nnz(C_i*)`.
 //! 3. **Exact allocation** — prefix sum of row sizes.
 //! 4. **Numeric phase** — parallel fill into disjoint output slices;
-//!    each worker reuses a dense or hash accumulator chosen per row by
-//!    the measured output density ([`accum::choose_accumulator`]).
+//!    each worker reuses one accumulator, chosen for the whole product
+//!    by the width of `B`: a dense array while `b.n_cols() ≤`
+//!    [`DENSE_WIDTH_LIMIT`] (it stays cache-resident), a hash map
+//!    beyond. Both fold products in the same order, so the choice never
+//!    changes `C`.
 //!
 //! Rows are processed in flop-sorted *bins* inside each phase chunk so
 //! one pathological row cannot serialize a whole chunk — the
@@ -19,7 +22,7 @@
 //! for; rayon's work stealing plays that role here.
 
 use crate::check_dims;
-use accum::ScratchPool;
+use accum::{AccumulatorKind, ScratchPool, DENSE_WIDTH_LIMIT};
 use rayon::prelude::*;
 use sparse::{ColId, CsrMatrix, CsrView, Result};
 
@@ -89,10 +92,8 @@ pub fn multiply_view(a: &CsrView<'_>, b: &CsrMatrix) -> Result<CsrMatrix> {
 /// Symbolic phase: exact output row sizes, parallel over row chunks
 /// (chunk index ranges iterated directly — no materialized row list).
 /// Each in-flight chunk leases one counter bundle from `pool` — reused
-/// across chunks, so no width-sized allocation per chunk. Shared with
-/// the `brmerge` executor, whose numeric phase differs but whose
-/// symbolic needs are identical.
-pub(crate) fn symbolic(a: &CsrView<'_>, b: &CsrMatrix, pool: &ScratchPool) -> Vec<usize> {
+/// across chunks, so no width-sized allocation per chunk.
+fn symbolic(a: &CsrView<'_>, b: &CsrMatrix, pool: &ScratchPool) -> Vec<usize> {
     let n_rows = a.n_rows();
     let width = b.n_cols();
     (0..n_rows.div_ceil(CHUNK).max(1))
@@ -127,6 +128,11 @@ fn numeric_chunk(
     pool: &ScratchPool,
 ) {
     let width = b.n_cols();
+    let kind = if width <= DENSE_WIDTH_LIMIT {
+        AccumulatorKind::Dense
+    } else {
+        AccumulatorKind::Hash
+    };
     let chunk_len = out_c.len();
     let rows = chunk_start..(chunk_start + CHUNK).min(row_nnz.len());
     pool.with(|scratch| {
@@ -141,7 +147,7 @@ fn numeric_chunk(
                     b.row_iter(k as usize)
                         .map(move |(c, b_kc)| (c, a_rk * b_kc))
                 }),
-                expect,
+                kind,
                 width,
                 &mut out_c[cursor..cursor + expect],
                 &mut out_v[cursor..cursor + expect],

@@ -70,10 +70,9 @@ impl Semiring {
 /// semiring zero are kept structurally, like the numeric executors do.
 ///
 /// When `B`'s rows are sorted (the CSR norm here), accumulation runs
-/// through the shared [`accum::MergeBuffer`] chain — the same code path
-/// the `brmerge` executor uses — instead of materializing and sorting
-/// every intermediate product. The fold order is identical (stable
-/// sort keeps equal columns in increasing-`k` order, folded
+/// through the [`accum::MergeBuffer`] chain instead of materializing
+/// and sorting every intermediate product. The fold order is identical
+/// (stable sort keeps equal columns in increasing-`k` order, folded
 /// left-associatively; so does the chain), so both paths produce
 /// bit-identical output — pinned by the `merge_path_matches_sorting_*`
 /// tests below.

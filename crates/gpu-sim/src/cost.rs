@@ -114,65 +114,6 @@ impl KernelKind {
     }
 }
 
-/// Which CPU SpGEMM kernel a chunk is priced for. Mirrors the
-/// `cpu_spgemm::CpuKernel` execution choice (minus `Adaptive`, which
-/// resolves to one of these per chunk before pricing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CpuKernelClass {
-    /// Two-phase hash accumulation (the paper's CPU baseline).
-    Hash,
-    /// Column-panelled dense accumulation.
-    Dense,
-    /// Chained row merging over sorted rows.
-    Merge,
-}
-
-impl CpuKernelClass {
-    /// Stable lowercase name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CpuKernelClass::Hash => "hash",
-            CpuKernelClass::Dense => "dense",
-            CpuKernelClass::Merge => "merge",
-        }
-    }
-}
-
-/// Measured CPU cost constants for one kernel: the same
-/// `overhead + flops/rate + nnz·insert` shape as the base model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CpuKernelCost {
-    /// Flop rate, flops/s.
-    pub flop_rate: f64,
-    /// Cost per output nonzero, ns.
-    pub insert_ns: f64,
-    /// Fixed overhead per chunk, ns.
-    pub chunk_overhead_ns: SimTime,
-}
-
-/// Per-kernel measured CPU constants, fitted by `bench::cpu_calibration`
-/// and installed with [`CostModel::with_measured_cpu_kernels`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CpuKernelTable {
-    /// Hash-kernel constants.
-    pub hash: CpuKernelCost,
-    /// Dense-kernel constants.
-    pub dense: CpuKernelCost,
-    /// Merge-kernel constants.
-    pub merge: CpuKernelCost,
-}
-
-impl CpuKernelTable {
-    /// The constants for one kernel class.
-    pub fn get(&self, class: CpuKernelClass) -> CpuKernelCost {
-        match class {
-            CpuKernelClass::Hash => self.hash,
-            CpuKernelClass::Dense => self.dense,
-            CpuKernelClass::Merge => self.merge,
-        }
-    }
-}
-
 /// The calibrated cost parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CostModel {
@@ -204,15 +145,6 @@ pub struct CostModel {
     pub cpu_insert_ns: f64,
     /// CPU fixed overhead per chunk, ns.
     pub cpu_chunk_overhead_ns: SimTime,
-    /// Measured per-kernel CPU constants, when a calibration has been
-    /// installed ([`CostModel::with_measured_cpu_kernels`]). `None` —
-    /// the [`CostModel::calibrated`] default, and what deserializing an
-    /// older model yields — prices every kernel with the base
-    /// `cpu_flop_rate`/`cpu_insert_ns`/`cpu_chunk_overhead_ns`
-    /// constants, keeping paper-reproduction runs bit-identical.
-    /// (`Option` fields read missing keys as `None`, so older
-    /// serialized models deserialize cleanly.)
-    pub cpu_kernel_costs: Option<CpuKernelTable>,
 }
 
 impl CostModel {
@@ -233,7 +165,6 @@ impl CostModel {
             cpu_flop_rate: 2.0e9,
             cpu_insert_ns: 8.0,
             cpu_chunk_overhead_ns: 50_000,
-            cpu_kernel_costs: None,
         }
     }
 
@@ -257,54 +188,6 @@ impl CostModel {
         self.cpu_insert_ns = insert_ns;
         self.cpu_chunk_overhead_ns = chunk_overhead_ns;
         self
-    }
-
-    /// Installs measured per-kernel CPU constants (fitted by
-    /// `bench::cpu_calibration`). The base CPU constants are set to the
-    /// hash kernel's — the paper-baseline method — so any caller still
-    /// pricing through [`cpu_chunk_duration`] sees the measured host
-    /// too; kernel-aware callers use [`cpu_chunk_duration_for`].
-    ///
-    /// [`cpu_chunk_duration`]: CostModel::cpu_chunk_duration
-    /// [`cpu_chunk_duration_for`]: CostModel::cpu_chunk_duration_for
-    pub fn with_measured_cpu_kernels(mut self, table: CpuKernelTable) -> Self {
-        self = self.with_measured_cpu(
-            table.hash.flop_rate,
-            table.hash.insert_ns,
-            table.hash.chunk_overhead_ns,
-        );
-        self.cpu_kernel_costs = Some(table);
-        self
-    }
-
-    /// The CPU cost constants used to price `class` chunks: the
-    /// measured table when installed, the base constants otherwise.
-    pub fn cpu_cost_for(&self, class: CpuKernelClass) -> CpuKernelCost {
-        match &self.cpu_kernel_costs {
-            Some(table) => table.get(class),
-            None => CpuKernelCost {
-                flop_rate: self.cpu_flop_rate,
-                insert_ns: self.cpu_insert_ns,
-                chunk_overhead_ns: self.cpu_chunk_overhead_ns,
-            },
-        }
-    }
-
-    /// [`cpu_chunk_duration`] priced for a specific CPU kernel. With no
-    /// measured table installed this is identical to the base model for
-    /// every class, so default runs are unchanged.
-    ///
-    /// [`cpu_chunk_duration`]: CostModel::cpu_chunk_duration
-    pub fn cpu_chunk_duration_for(
-        &self,
-        class: CpuKernelClass,
-        flops: u64,
-        nnz_out: u64,
-    ) -> SimTime {
-        let c = self.cpu_cost_for(class);
-        c.chunk_overhead_ns
-            + (flops as f64 / c.flop_rate * 1e9).round() as SimTime
-            + (nnz_out as f64 * c.insert_ns).round() as SimTime
     }
 
     /// Regularity multiplier `1 + slope·log2(max(ratio, 1))`.
@@ -468,68 +351,6 @@ mod tests {
                 compression_ratio: 3.0
             }),
         );
-    }
-
-    #[test]
-    fn per_kernel_pricing_defaults_to_base_model() {
-        let m = CostModel::calibrated();
-        for class in [
-            CpuKernelClass::Hash,
-            CpuKernelClass::Dense,
-            CpuKernelClass::Merge,
-        ] {
-            assert_eq!(
-                m.cpu_chunk_duration_for(class, 1_000_000, 400_000),
-                m.cpu_chunk_duration(1_000_000, 400_000),
-                "{}: no table installed must mean base pricing",
-                class.name()
-            );
-        }
-    }
-
-    #[test]
-    fn measured_kernel_table_prices_per_class() {
-        let table = CpuKernelTable {
-            hash: CpuKernelCost {
-                flop_rate: 1.0e9,
-                insert_ns: 10.0,
-                chunk_overhead_ns: 40_000,
-            },
-            dense: CpuKernelCost {
-                flop_rate: 3.0e9,
-                insert_ns: 2.0,
-                chunk_overhead_ns: 40_000,
-            },
-            merge: CpuKernelCost {
-                flop_rate: 2.0e9,
-                insert_ns: 3.0,
-                chunk_overhead_ns: 40_000,
-            },
-        };
-        let m = CostModel::calibrated().with_measured_cpu_kernels(table);
-        let hash = m.cpu_chunk_duration_for(CpuKernelClass::Hash, 10_000_000, 5_000_000);
-        let merge = m.cpu_chunk_duration_for(CpuKernelClass::Merge, 10_000_000, 5_000_000);
-        assert!(merge < hash, "measured merge must price cheaper here");
-        // Base constants follow the hash fit, so kernel-blind callers
-        // (cpu_chunk_duration) see the measured host too.
-        assert_eq!(
-            m.cpu_chunk_duration(10_000_000, 5_000_000),
-            hash,
-            "base pricing must match the hash column"
-        );
-    }
-
-    #[test]
-    fn older_serialized_models_deserialize_without_kernel_table() {
-        // A model serialized before the per-kernel table existed.
-        let mut m = CostModel::calibrated();
-        m.cpu_kernel_costs = None;
-        let mut json = serde_json::to_string(&m).unwrap();
-        json = json.replace(",\"cpu_kernel_costs\":null", "");
-        assert!(!json.contains("cpu_kernel_costs"));
-        let back: CostModel = serde_json::from_str(&json).unwrap();
-        assert!(back.cpu_kernel_costs.is_none());
-        assert_eq!(back.cpu_flop_rate, m.cpu_flop_rate);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod props;
 pub mod sim;
 pub mod trace;
 
-pub use cost::{CostModel, CpuKernelClass, CpuKernelCost, CpuKernelTable, KernelClass, KernelKind};
+pub use cost::{CostModel, KernelClass, KernelKind};
 pub use fault::{CapacityShrink, FaultKind, FaultPlan, FaultState, FaultStats, SimFault};
 pub use memory::{DeviceAlloc, DeviceMemory, MemoryPool, OutOfDeviceMemory};
 pub use metrics::{EngineMetrics, KernelClassMetrics, StreamMetrics, TimelineMetrics};

@@ -12,8 +12,8 @@
 //! computation and the simulated kernel launches correspond one to one.
 
 use accum::{
-    choose_accumulator, Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator,
-    ScratchPool,
+    choose_accumulator, select_accumulator, Accumulator, AccumulatorKind, DenseAccumulator,
+    HashAccumulator, ScratchPool,
 };
 use rayon::prelude::*;
 use sparse::{ColId, CsrMatrix, CsrView};
@@ -144,14 +144,14 @@ pub fn numeric_by_groups_with(
             pool.with(|scratch| {
                 for (r, (out_c, out_v)) in rows {
                     let r = *r as usize;
-                    let expected = out_c.len();
+                    let kind = select_accumulator(out_c.len(), width);
                     scratch.accumulate_row_into(
                         a_panel.row_iter(r).flat_map(|(k, a_rk)| {
                             b_panel
                                 .row_iter(k as usize)
                                 .map(move |(c, b_kc)| (c, a_rk * b_kc))
                         }),
-                        expected,
+                        kind,
                         width,
                         out_c,
                         out_v,

@@ -8,7 +8,7 @@
 //! process-global, and a concurrent test in the same binary would
 //! pollute the delta.
 
-use accum::ScratchPool;
+use accum::{select_accumulator, ScratchPool};
 use gpu_spgemm::phases;
 use sparse::{CsrMatrix, CsrView};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,7 +66,7 @@ fn steady_state_pass(
                     b.row_iter(k as usize)
                         .map(move |(c, b_kc)| (c, a_rk * b_kc))
                 }),
-                expect,
+                select_accumulator(expect, width),
                 width,
                 &mut out_c[cursor..cursor + expect],
                 &mut out_v[cursor..cursor + expect],

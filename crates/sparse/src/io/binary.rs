@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn read_binary_rejects_bad_files_without_allocating() {
-        let dir = std::env::temp_dir().join("sparse_bin_reject_test");
+        let dir = crate::io::unique_temp_dir("sparse_bin_reject_test");
         std::fs::create_dir_all(&dir).unwrap();
         let m = erdos_renyi(20, 20, 0.2, 5);
         let raw = to_bytes(&m).to_vec();
@@ -225,9 +225,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("sparse_bin_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.spb");
+        let path = crate::io::unique_temp_dir("sparse_bin_test").with_extension("spb");
         let m = erdos_renyi(30, 30, 0.2, 8);
         write_binary(&path, &m).unwrap();
         assert_eq!(read_binary(&path).unwrap(), m);

@@ -237,9 +237,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("sparse_mm_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("roundtrip.mtx");
+        let path = crate::io::unique_temp_dir("sparse_mm_test").with_extension("mtx");
         let m = crate::gen::erdos::erdos_renyi(20, 25, 0.15, 5);
         write_matrix_market(&path, &m).unwrap();
         let back = read_matrix_market(&path).unwrap();

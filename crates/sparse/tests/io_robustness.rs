@@ -4,13 +4,11 @@
 use proptest::prelude::*;
 use sparse::io::binary::{from_bytes, read_binary, to_bytes, write_binary};
 use sparse::io::market::{read_matrix_market_str, write_matrix_market};
-use sparse::io::read_matrix_market;
+use sparse::io::{read_matrix_market, unique_temp_dir};
 use sparse::{CooMatrix, CsrMatrix};
 
 fn temp_spb(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sparse_spb_prop_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.spb"))
+    unique_temp_dir(&format!("sparse_spb_{tag}")).with_extension("spb")
 }
 
 fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
@@ -68,9 +66,7 @@ proptest! {
 
     #[test]
     fn matrix_market_roundtrip_lossless(m in arb_matrix()) {
-        let dir = std::env::temp_dir().join(format!("sparse_mm_prop_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.mtx");
+        let path = unique_temp_dir("sparse_mm_prop").with_extension("mtx");
         write_matrix_market(&path, &m).unwrap();
         let back = read_matrix_market(&path).unwrap();
         std::fs::remove_file(&path).ok();

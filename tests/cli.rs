@@ -273,3 +273,22 @@ fn bad_estimator_flags_exit_2() {
         );
     }
 }
+
+#[test]
+fn cpu_kernel_flag_validates_and_warns_off_cpu() {
+    for kernel in ["merge", "adaptive", "bogus"] {
+        let out = spgemm()
+            .args(["--gen", "rmat:8:2000:1", "--cpu-kernel", kernel])
+            .output()
+            .expect("spawn spgemm");
+        assert_eq!(out.status.code(), Some(2), "--cpu-kernel {kernel}");
+    }
+    let out = spgemm()
+        .args(["--gen", "rmat:8:2000:1", "--executor", "hybrid"])
+        .args(["--cpu-kernel", "dense"])
+        .output()
+        .expect("spawn spgemm");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--cpu-kernel has no effect"), "{stderr}");
+}
