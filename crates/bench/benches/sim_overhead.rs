@@ -35,7 +35,8 @@ fn bench_sim(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = GpuSim::new(DeviceProps::v100_scaled(256 << 20), CostModel::calibrated());
             black_box(
-                oocgemm::pipeline::simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap(),
+                oocgemm::pipeline::simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2)
+                    .unwrap(),
             )
         });
     });

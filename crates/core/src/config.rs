@@ -78,8 +78,10 @@ pub struct OocConfig {
     /// surfaces as a recoverable `EstimateOverflow` and is grown,
     /// re-split, or demoted, so C stays bit-identical to the exact
     /// path. `EstimatorKind::Exact` restores the full symbolic
-    /// pre-pass everywhere. Sync, hybrid, multi-GPU, and spill runs
-    /// always use the exact path regardless of this setting.
+    /// pre-pass everywhere. Hybrid and multi-GPU runs honor it too
+    /// (their work distribution still reasons from exact per-chunk
+    /// sizes); sync runs, spill runs and `Hybrid::ratio_search` always
+    /// use the exact path regardless of this setting.
     pub estimator: EstimateConfig,
     /// Deterministic host-side fault schedule (spill I/O, shard
     /// corruption, CPU kernels, host allocation pressure). Like the

@@ -7,7 +7,7 @@ use crate::faults::{self, HostFaultKind, HostFaultState};
 use crate::metrics::{
     ChunkMetrics, DegradationCause, DegradationEvent, DemotionCause, EstimatorStats, Metrics,
 };
-use crate::pipeline::{simulate_pipeline_recovering, ChunkAttempt, ChunkFailure};
+use crate::pipeline::{recovering_pass, ChunkAttempt, ChunkFailure};
 use crate::plan::{split_range_by_flops, PanelPlan, Planner};
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::Result;
@@ -59,6 +59,48 @@ impl PreparedGrid {
         self.prepared.iter().map(|p| p.nnz).sum()
     }
 
+    /// Prepares chunk `idx` (row-major) of the plan against a shared
+    /// scratch pool. With a single column panel, the panel's per-row
+    /// flops equal the planner's global ones, so the cached prefix
+    /// replaces the chunk's row analysis.
+    pub(crate) fn prepare_chunk(
+        &self,
+        a: &CsrMatrix,
+        idx: usize,
+        pool: &accum::ScratchPool,
+    ) -> PreparedChunk {
+        let k_c = self.plan.col_panels();
+        let range = &self.plan.row_ranges[idx / k_c];
+        let prefix = (k_c == 1).then(|| &self.row_flops_prefix[range.start..=range.end]);
+        let job = ChunkJob {
+            a_panel: CsrView::rows(a, range.start, range.end),
+            b_panel: &self.col_panels[idx % k_c].matrix,
+            chunk_id: idx,
+        };
+        phases::prepare_chunk_with(job, pool, prefix)
+    }
+
+    /// Adds the prepared chunks, in row-major order. A grid planned
+    /// from estimates gets the speculative descriptor attached to every
+    /// chunk — one shared post-pass for every preparation engine, so
+    /// their grids stay field-identical (the `prepare_equivalence`
+    /// suite covers `spec` too). The chunks' exact results are
+    /// untouched: speculation only changes how the simulation sizes and
+    /// schedules them.
+    pub(crate) fn with_chunks(mut self, a: &CsrMatrix, mut prepared: Vec<PreparedChunk>) -> Self {
+        if let Some(model) = &self.est_model {
+            let k_c = self.plan.col_panels();
+            for (idx, chunk) in prepared.iter_mut().enumerate() {
+                let range = &self.plan.row_ranges[idx / k_c];
+                let a_panel = CsrView::rows(a, range.start, range.end);
+                let b_panel = &self.col_panels[idx % k_c].matrix;
+                phases::attach_speculation(chunk, &a_panel, b_panel, model);
+            }
+        }
+        self.prepared = prepared;
+        self
+    }
+
     /// Approximate resident host-heap footprint of the grid, in bytes:
     /// the per-chunk output CSR arrays, the retained B column panels,
     /// the row-group index vectors, and the planner prefix sums. The
@@ -86,62 +128,52 @@ impl PreparedGrid {
     }
 }
 
-type PlannedGrid = (
-    PanelPlan,
-    ChunkGrid,
-    Vec<ColPanel>,
-    Vec<u64>,
-    Option<EstModel>,
-);
-
-/// The planning prologue shared by the parallel and serial grid
-/// preparation: validate, plan panels, partition B, and size the grid.
+/// The planner a run uses and the panel grid it picks: `config.panels`
+/// when fixed, otherwise the smallest grid whose working set (the
+/// resident A panel plus `config.pipeline_depth` in-flight chunks)
+/// fits the device.
 ///
 /// With a non-exact estimator and async mode, the panel plan is sized
 /// from the sampled nnz(C) model ([`Planner::estimated`]) — the exact
-/// symbolic planning pass is skipped entirely and the returned model
-/// drives speculative execution. Sync mode always plans exactly: its
+/// symbolic planning pass is skipped entirely and the model drives
+/// speculative execution. Sync mode always plans exactly: its
 /// schedule has no overlap to win back, so speculation would only risk
 /// overflows.
-fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PlannedGrid> {
-    config.validate()?;
+pub(crate) fn plan_panels<'m>(
+    a: &'m CsrMatrix,
+    b: &'m CsrMatrix,
+    config: &OocConfig,
+) -> Result<(Planner<'m>, PanelPlan)> {
     let speculative =
         config.mode == ExecMode::Async && config.estimator.kind != EstimatorKind::Exact;
     let planner = if speculative {
         Planner::estimated(a, b, &config.estimator)?
     } else {
         Planner::new(a, b)?
-    };
+    }
+    .pipeline_depth(config.pipeline_depth);
     let plan = match config.panels {
         Some((r, c)) => planner.fixed(r, c)?,
         None => planner.auto(config.device.device_memory_bytes)?,
     };
-    let row_flops_prefix = planner.row_flops_prefix().to_vec();
-    let est_model = planner.est_model().copied();
-    let col_panels = config.col_partitioner.partition(b, &plan.col_ranges);
-    let grid = ChunkGrid::compute(a, &plan, &col_panels);
-    Ok((plan, grid, col_panels, row_flops_prefix, est_model))
+    Ok((planner, plan))
 }
 
-/// Attaches the speculative descriptor to every chunk of a grid that
-/// was planned from estimates. One shared post-pass for both
-/// preparation engines, so the parallel and serial grids stay
-/// field-identical (the `prepare_equivalence` suite covers `spec`
-/// too). The chunks' exact results are untouched — speculation only
-/// changes how the simulation sizes and schedules them.
-pub(crate) fn attach_speculation_all(
-    a: &CsrMatrix,
-    plan: &PanelPlan,
-    col_panels: &[ColPanel],
-    prepared: &mut [PreparedChunk],
-    model: &EstModel,
-) {
-    let k_c = plan.col_panels();
-    for (idx, chunk) in prepared.iter_mut().enumerate() {
-        let range = &plan.row_ranges[idx / k_c];
-        let a_panel = CsrView::rows(a, range.start, range.end);
-        phases::attach_speculation(chunk, &a_panel, &col_panels[idx % k_c].matrix, model);
-    }
+/// The planning prologue of every grid preparation: validate, plan
+/// panels, partition B, and size the grid. The grid has no chunks yet;
+/// [`PreparedGrid::with_chunks`] adds them.
+pub(crate) fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PreparedGrid> {
+    config.validate()?;
+    let (planner, plan) = plan_panels(a, b, config)?;
+    let col_panels = config.col_partitioner.partition(b, &plan.col_ranges);
+    Ok(PreparedGrid {
+        grid: ChunkGrid::compute(a, &plan, &col_panels),
+        prepared: Vec::new(),
+        row_flops_prefix: planner.row_flops_prefix().to_vec(),
+        est_model: planner.est_model().copied(),
+        plan,
+        col_panels,
+    })
 }
 
 /// Plans, partitions and prepares every chunk of `C = a · b`.
@@ -174,9 +206,8 @@ pub fn prepare_grid_pooled(
     config: &OocConfig,
     pool: &accum::ScratchPool,
 ) -> Result<PreparedGrid> {
-    let (plan, grid, col_panels, row_flops_prefix, est_model) = plan_grid(a, b, config)?;
-    let k_c = plan.col_panels();
-    let n = plan.num_chunks();
+    let pg = plan_grid(a, b, config)?;
+    let n = pg.plan.num_chunks();
     let mut slots: Vec<Option<PreparedChunk>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     let cap = config.prepare_parallelism.unwrap_or(n).max(1);
@@ -187,44 +218,14 @@ pub fn prepare_grid_pooled(
         slots[start..end]
             .par_iter_mut()
             .enumerate()
-            .for_each(|(i, slot)| {
-                let idx = base + i;
-                let range = &plan.row_ranges[idx / k_c];
-                // With a single column panel, the panel's per-row flops
-                // equal the planner's global ones, so the cached prefix
-                // replaces the chunk's row analysis.
-                let prefix = if k_c == 1 {
-                    Some(&row_flops_prefix[range.start..=range.end])
-                } else {
-                    None
-                };
-                *slot = Some(phases::prepare_chunk_with(
-                    ChunkJob {
-                        a_panel: CsrView::rows(a, range.start, range.end),
-                        b_panel: &col_panels[idx % k_c].matrix,
-                        chunk_id: idx,
-                    },
-                    pool,
-                    prefix,
-                ));
-            });
+            .for_each(|(i, slot)| *slot = Some(pg.prepare_chunk(a, base + i, pool)));
         start = end;
     }
-    let mut prepared: Vec<PreparedChunk> = slots
+    let prepared = slots
         .into_iter()
         .map(|s| s.expect("every chunk prepared"))
         .collect();
-    if let Some(model) = &est_model {
-        attach_speculation_all(a, &plan, &col_panels, &mut prepared, model);
-    }
-    Ok(PreparedGrid {
-        plan,
-        grid,
-        prepared,
-        col_panels,
-        row_flops_prefix,
-        est_model,
-    })
+    Ok(pg.with_chunks(a, prepared))
 }
 
 /// [`prepare_grid`] with the original serial chunk loop and the
@@ -235,12 +236,12 @@ pub fn prepare_grid_serial(
     b: &CsrMatrix,
     config: &OocConfig,
 ) -> Result<PreparedGrid> {
-    let (plan, grid, col_panels, row_flops_prefix, est_model) = plan_grid(a, b, config)?;
-    let k_c = plan.col_panels();
-    let mut prepared = Vec::with_capacity(plan.num_chunks());
-    for (r, range) in plan.row_ranges.iter().enumerate() {
+    let pg = plan_grid(a, b, config)?;
+    let k_c = pg.plan.col_panels();
+    let mut prepared = Vec::with_capacity(pg.plan.num_chunks());
+    for (r, range) in pg.plan.row_ranges.iter().enumerate() {
         let a_view = CsrView::rows(a, range.start, range.end);
-        for (c, panel) in col_panels.iter().enumerate() {
+        for (c, panel) in pg.col_panels.iter().enumerate() {
             prepared.push(phases::prepare_chunk_serial(ChunkJob {
                 a_panel: a_view,
                 b_panel: &panel.matrix,
@@ -248,17 +249,7 @@ pub fn prepare_grid_serial(
             }));
         }
     }
-    if let Some(model) = &est_model {
-        attach_speculation_all(a, &plan, &col_panels, &mut prepared, model);
-    }
-    Ok(PreparedGrid {
-        plan,
-        grid,
-        prepared,
-        col_panels,
-        row_flops_prefix,
-        est_model,
-    })
+    Ok(pg.with_chunks(a, prepared))
 }
 
 /// Simulates the chosen execution mode over an ordered chunk list and
@@ -298,24 +289,99 @@ pub(crate) fn simulate_order(
     }
 }
 
-/// What the self-healing orchestration produced: the final simulated
-/// time, recovery accounting, and result overrides for re-split chunks
-/// (vstacked from their sub-chunk results — bit-identical to the
-/// original chunk result because SpGEMM rows are independent).
-pub(crate) struct RecoveredOutcome {
+/// What one simulated device produced for its share of a run.
+#[derive(Default)]
+pub(crate) struct DeviceRun {
+    /// Simulated completion time, ns.
     pub sim_ns: SimTime,
-    pub report: RecoveryReport,
+    /// The device timeline.
+    pub timeline: Timeline,
+    /// Results of re-split chunks, vstacked from their sub-chunk
+    /// results — bit-identical to the original chunk result because
+    /// SpGEMM rows are independent.
     pub overrides: HashMap<ChunkId, CsrMatrix>,
-    /// Per-planned-chunk attempt/re-split/demotion counters, ordered
-    /// by (row, col).
-    pub chunk_stats: Vec<ChunkMetrics>,
-    /// Supervised degradation events, in the order they took effect.
-    pub degradations: Vec<DegradationEvent>,
+    /// What recovery did on this device.
+    pub recovery: RecoveryReport,
+    /// Device metrics with per-chunk counters and degradations; the
+    /// caller attaches estimator and scheduler accounting.
+    pub metrics: Metrics,
 }
 
+/// Runs `order` on one simulated device, which carries
+/// `config.fault_plan` when one is set. Fault plans, host fault plans,
+/// run budgets and speculative grids take the recovering orchestration
+/// (estimate overflows surface as recoverable chunk failures there);
+/// everything else takes the exact one-shot pass.
+pub(crate) fn run_on_device(
+    a: &CsrMatrix,
+    pg: &PreparedGrid,
+    order: &[ChunkInfo],
+    config: &OocConfig,
+) -> Result<DeviceRun> {
+    let mut sim = match &config.fault_plan {
+        Some(plan) => GpuSim::with_faults(config.device.clone(), config.cost.clone(), plan.clone()),
+        None => GpuSim::new(config.device.clone(), config.cost.clone()),
+    };
+    let recovering = config.fault_plan.is_some()
+        || config.host_faults.is_some()
+        || config.budget.is_some()
+        || pg.est_model.is_some();
+    if recovering {
+        return simulate_order_recovering(sim, a, pg, order, config);
+    }
+    let sim_ns = simulate_order(&mut sim, pg, order, config)?;
+    Ok(DeviceRun {
+        sim_ns,
+        metrics: Metrics::collect(&sim, sim_ns),
+        timeline: sim.into_timeline(),
+        ..DeviceRun::default()
+    })
+}
+
+/// The order a single device runs a whole grid in. Sync mode follows
+/// Algorithm 3's natural loop; async mode reorders by decreasing flops
+/// when configured (Section IV-C), grouped by row panel to keep the A
+/// panel resident.
+pub(crate) fn execution_order(pg: &PreparedGrid, config: &OocConfig) -> Vec<ChunkInfo> {
+    match (config.mode, config.reorder_chunks) {
+        (ExecMode::Async, true) => ChunkGrid::grouped_desc(&pg.grid.sorted_desc()),
+        _ => pg.grid.natural_order(),
+    }
+}
+
+/// Assembles C from every chunk of `order`, taking re-split chunks'
+/// results from `overrides`.
+pub(crate) fn assemble_product(
+    pg: &PreparedGrid,
+    order: &[ChunkInfo],
+    overrides: &HashMap<ChunkId, CsrMatrix>,
+) -> CsrMatrix {
+    let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = order
+        .iter()
+        .map(|info| {
+            let result = overrides.get(&info.id).unwrap_or(&pg.chunk(info.id).result);
+            (info.id, result)
+        })
+        .collect();
+    assemble(&pg.plan, &chunk_refs)
+}
+
+/// Where a work item's prepared chunk lives.
+#[derive(Clone, Copy)]
 enum WorkSource {
+    /// A chunk of the prepared grid.
     Orig(ChunkId),
+    /// A chunk made during recovery (index into `Recovery::subs`).
     Sub(usize),
+}
+
+impl WorkSource {
+    fn chunk<'c>(self, pg: &'c PreparedGrid, subs: &'c [PreparedChunk]) -> &'c PreparedChunk {
+        match self {
+            WorkSource::Orig(id) => pg.chunk(id),
+            WorkSource::Sub(i) => &subs[i],
+        }
+    }
 }
 
 struct WorkItem {
@@ -325,15 +391,125 @@ struct WorkItem {
     source: WorkSource,
 }
 
+/// The state the recovering orchestration threads through its passes,
+/// with the per-item actions that change it.
+struct Recovery<'r> {
+    sim: &'r mut GpuSim,
+    a: &'r CsrMatrix,
+    pg: &'r PreparedGrid,
+    config: &'r OocConfig,
+    host: Option<HostFaultState>,
+    report: RecoveryReport,
+    /// Chunks made during recovery: re-split pieces, grown and exact
+    /// variants.
+    subs: Vec<PreparedChunk>,
+    next_sub_id: usize,
+    /// Completed/demoted sub-chunk results per re-split parent, keyed
+    /// by global start row for the final ordered vstack.
+    pieces: HashMap<ChunkId, Vec<(usize, CsrMatrix)>>,
+    stats: HashMap<ChunkId, ChunkMetrics>,
+}
+
+impl Recovery<'_> {
+    fn chunk(&self, w: &WorkItem) -> &PreparedChunk {
+        w.source.chunk(self.pg, &self.subs)
+    }
+
+    /// Re-sizes every pending speculative chunk with `remake`.
+    fn respec(
+        &mut self,
+        pending: &mut [WorkItem],
+        remake: impl Fn(&PreparedChunk) -> PreparedChunk,
+    ) {
+        for w in pending {
+            let p = w.source.chunk(self.pg, &self.subs);
+            if p.spec.is_some() {
+                let remade = remake(p);
+                self.subs.push(remade);
+                w.source = WorkSource::Sub(self.subs.len() - 1);
+            }
+        }
+    }
+
+    /// Keeps a finished sub-chunk's result for its parent's vstack.
+    fn keep(&mut self, w: &WorkItem) {
+        if let WorkSource::Sub(i) = w.source {
+            let result = self.subs[i].result.clone();
+            self.pieces
+                .entry(w.parent)
+                .or_default()
+                .push((w.rows.start, result));
+        }
+    }
+
+    /// Runs `w` on the CPU at its calibrated cost. Demoted chunks run
+    /// in the CPU fault domain: transient CPU-kernel faults cost a
+    /// recompute plus backoff before the clean pass lands.
+    fn demote(&mut self, w: &WorkItem, cause: DemotionCause) {
+        self.report.demotions += 1;
+        let s = self
+            .stats
+            .entry(w.parent)
+            .or_insert_with(|| ChunkMetrics::new(w.parent));
+        s.demotions += 1;
+        s.demotion_cause.get_or_insert(cause);
+        let p = self.chunk(w);
+        let cpu_ns = self.config.cost.cpu_chunk_duration(p.flops, p.nnz);
+        let chunk = format!("chunk ({},{})", w.parent.row, w.parent.col);
+        if let Some(h) = self.host.as_mut() {
+            let sim = &mut *self.sim;
+            h.cpu_kernel_retries(&self.config.cost, cpu_ns, &mut self.report, |ns| {
+                sim.host_compute(ns, format!("CPU retry {chunk}"))
+            });
+        }
+        self.sim
+            .host_compute(cpu_ns, format!("CPU fallback {chunk}"));
+        self.keep(w);
+    }
+
+    /// Splits `w` in two along the planner's row-flop prefix sums and
+    /// queues both halves, re-prepared, on `next`. Re-preparing
+    /// allocates host buffers, which can stall under host-allocation
+    /// pressure (charged under `why`).
+    fn split(&mut self, w: &WorkItem, why: &str, next: &mut Vec<WorkItem>) {
+        for rows in split_range_by_flops(&self.pg.row_flops_prefix, &w.rows, 2) {
+            if rows.is_empty() {
+                continue;
+            }
+            if let Some(h) = self.host.as_mut() {
+                while h.roll(HostFaultKind::HostAlloc) {
+                    let wait = backoff_ns(self.sim.cost(), 1);
+                    self.report.host_alloc_faults += 1;
+                    self.report.time_lost_ns += wait;
+                    self.sim
+                        .host_compute(wait, format!("host-allocation stall ({why})"));
+                }
+            }
+            self.subs.push(phases::prepare_chunk(ChunkJob {
+                a_panel: CsrView::rows(self.a, rows.start, rows.end),
+                b_panel: &self.pg.col_panels[w.parent.col].matrix,
+                chunk_id: self.next_sub_id,
+            }));
+            self.next_sub_id += 1;
+            next.push(WorkItem {
+                parent: w.parent,
+                rows,
+                depth: w.depth + 1,
+                source: WorkSource::Sub(self.subs.len() - 1),
+            });
+        }
+    }
+}
+
 /// Self-healing pass-based orchestration, used whenever a fault plan,
-/// host-fault plan, or run budget is installed (both exec modes route
-/// through the pooled async-style schedule — recovery needs the pool
-/// geometry to reason about what fits). Each pass runs the surviving
-/// work list through the recovering pipeline on one persistent
-/// simulator (time accumulates across passes); failed chunks are
-/// re-split along the planner's row-flop prefix sums (OOM) or demoted
-/// to the CPU executor (fault budget exhausted), until the list is
-/// empty.
+/// host-fault plan, run budget or speculative grid is in play (both
+/// exec modes route through the pooled async-style schedule — recovery
+/// needs the pool geometry to reason about what fits). Each pass runs
+/// the surviving work list through [`recovering_pass`] on one
+/// persistent simulator (time accumulates across passes); failed
+/// chunks are re-split along the planner's row-flop prefix sums (OOM),
+/// grown (estimate overflow) or demoted to the CPU executor (fault
+/// budget exhausted), until the list is empty.
 ///
 /// When a [`crate::recovery::RunBudget`] is installed the pass loop is
 /// supervised: at every pass boundary the budget's degradation rung is
@@ -346,27 +522,38 @@ struct WorkItem {
 /// Sustained pressure (cumulative capacity shrink, repeated estimate
 /// overflows) re-plans the remaining grid in one batch instead of
 /// walking every chunk down the per-chunk re-split ladder.
-pub(crate) fn simulate_order_recovering(
-    sim: &mut GpuSim,
+fn simulate_order_recovering(
+    mut sim: GpuSim,
     a: &CsrMatrix,
     pg: &PreparedGrid,
     order: &[ChunkInfo],
     config: &OocConfig,
-) -> Result<RecoveredOutcome> {
+) -> Result<DeviceRun> {
     let policy = config.recovery;
     let budget = config.budget;
-    let mut host = config
-        .host_faults
-        .as_ref()
-        .map(|p| HostFaultState::new(p.derive(faults::streams::EXECUTOR)));
+    let planning_capacity = sim.memory().capacity();
+    let mut r = Recovery {
+        sim: &mut sim,
+        a,
+        pg,
+        config,
+        host: config
+            .host_faults
+            .as_ref()
+            .map(|p| HostFaultState::new(p.derive(faults::streams::EXECUTOR))),
+        report: RecoveryReport::default(),
+        subs: Vec::new(),
+        next_sub_id: pg.plan.num_chunks(),
+        pieces: HashMap::new(),
+        stats: HashMap::new(),
+    };
     let mut degradations: Vec<DegradationEvent> = Vec::new();
     let mut rung: u8 = 0;
     let mut deadline_hit = false;
-    let planning_capacity = sim.memory().capacity();
     let mut replanned_capacity = false;
     let mut replanned_overflow = false;
+    let splittable = |w: &WorkItem| w.rows.len() > 1 && w.depth < policy.max_resplit_depth;
     let total_chunks = order.len();
-    let mut report = RecoveryReport::default();
     let mut pending: Vec<WorkItem> = order
         .iter()
         .map(|info| WorkItem {
@@ -376,98 +563,68 @@ pub(crate) fn simulate_order_recovering(
             source: WorkSource::Orig(info.id),
         })
         .collect();
-    let mut sub_store: Vec<PreparedChunk> = Vec::new();
-    // Completed/demoted sub-chunk results per re-split parent, keyed
-    // by global start row for the final ordered vstack.
-    let mut pieces: HashMap<ChunkId, Vec<(usize, CsrMatrix)>> = HashMap::new();
-    let mut next_sub_id = pg.plan.num_chunks();
-    let mut stats: HashMap<ChunkId, ChunkMetrics> = HashMap::new();
 
     while !pending.is_empty() {
         // --- Supervision: walk the budget's degradation ladder. The
         // rung is monotonic; a recovery spiral (time lost above the
         // tolerated fraction) escalates one extra rung.
         if let Some(b) = budget {
-            let elapsed = sim.now();
+            let elapsed = r.sim.now();
             let mut target = b.rung_at(elapsed);
             if deadline_hit {
                 target = 3;
             }
-            if elapsed > 0 && report.time_lost_ns as f64 > b.max_recovery_fraction * elapsed as f64
+            if elapsed > 0
+                && r.report.time_lost_ns as f64 > b.max_recovery_fraction * elapsed as f64
             {
                 target = target.max(rung.saturating_add(1)).min(3);
             }
             while rung < target {
                 rung += 1;
-                match rung {
+                let (cause, note) = match rung {
+                    // Shrink speculation headroom: re-size pending
+                    // speculative chunks to their exact output, so
+                    // estimate overflows can no longer occur.
                     1 => {
-                        // Shrink speculation headroom: re-size pending
-                        // speculative chunks to their exact output, so
-                        // estimate overflows can no longer occur.
-                        for w in pending.iter_mut() {
-                            let grown = {
-                                let p = match w.source {
-                                    WorkSource::Orig(id) => pg.chunk(id),
-                                    WorkSource::Sub(si) => &sub_store[si],
-                                };
-                                if p.spec.is_none() {
-                                    continue;
-                                }
-                                p.grown()
-                            };
-                            sub_store.push(grown);
-                            w.source = WorkSource::Sub(sub_store.len() - 1);
-                        }
-                        sim.note_recovery("budget rung 1: shrink speculation headroom");
-                        degradations.push(DegradationEvent {
-                            cause: DegradationCause::HeadroomShrink,
-                            at_ns: elapsed,
-                            cost_ns: 0,
-                        });
+                        r.respec(&mut pending, PreparedChunk::grown);
+                        (
+                            DegradationCause::HeadroomShrink,
+                            "budget rung 1: shrink speculation headroom",
+                        )
                     }
+                    // Force exact planning: strip speculation from the
+                    // remaining chunks (full symbolic schedule).
                     2 => {
-                        // Force exact planning: strip speculation from
-                        // the remaining chunks (full symbolic schedule).
-                        for w in pending.iter_mut() {
-                            let exact = {
-                                let p = match w.source {
-                                    WorkSource::Orig(id) => pg.chunk(id),
-                                    WorkSource::Sub(si) => &sub_store[si],
-                                };
-                                if p.spec.is_none() {
-                                    continue;
-                                }
-                                let mut e = p.clone();
-                                e.spec = None;
-                                e
-                            };
-                            sub_store.push(exact);
-                            w.source = WorkSource::Sub(sub_store.len() - 1);
-                        }
-                        sim.note_recovery("budget rung 2: force exact planning");
-                        degradations.push(DegradationEvent {
-                            cause: DegradationCause::ForcedExact,
-                            at_ns: elapsed,
-                            cost_ns: 0,
+                        r.respec(&mut pending, |p| PreparedChunk {
+                            spec: None,
+                            ..p.clone()
                         });
+                        (
+                            DegradationCause::ForcedExact,
+                            "budget rung 2: force exact planning",
+                        )
                     }
-                    _ => {}
-                }
+                    _ => continue,
+                };
+                r.sim.note_recovery(note);
+                degradations.push(DegradationEvent {
+                    cause,
+                    at_ns: elapsed,
+                    cost_ns: 0,
+                });
             }
             if rung >= 3 {
                 // Final rung: demote everything that remains to the CPU
                 // at its calibrated (exactly predictable) cost. If even
                 // that misses the deadline, fail cleanly with partial
                 // accounting instead of burning more simulated time.
-                let mut cpu_total: SimTime = 0;
-                for w in &pending {
-                    let p = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id),
-                        WorkSource::Sub(si) => &sub_store[si],
-                    };
-                    cpu_total =
-                        cpu_total.saturating_add(config.cost.cpu_chunk_duration(p.flops, p.nnz));
-                }
+                let cpu_total = pending
+                    .iter()
+                    .map(|w| {
+                        let p = r.chunk(w);
+                        config.cost.cpu_chunk_duration(p.flops, p.nnz)
+                    })
+                    .fold(0, SimTime::saturating_add);
                 if elapsed.saturating_add(cpu_total) > b.sim_deadline_ns {
                     let pending_parents: std::collections::HashSet<ChunkId> =
                         pending.iter().map(|w| w.parent).collect();
@@ -478,7 +635,7 @@ pub(crate) fn simulate_order_recovering(
                         pg.total_nnz(),
                         elapsed,
                     )
-                    .with_recovery(&report)
+                    .with_recovery(&r.report)
                     .with_degradations(&degradations);
                     return Err(crate::OocError::DeadlineExceeded {
                         deadline_ns: b.sim_deadline_ns,
@@ -488,7 +645,7 @@ pub(crate) fn simulate_order_recovering(
                         partial: Box::new(partial),
                     });
                 }
-                sim.note_recovery(format!(
+                r.sim.note_recovery(format!(
                     "budget rung 3: demote {} remaining work items to CPU",
                     pending.len()
                 ));
@@ -497,51 +654,15 @@ pub(crate) fn simulate_order_recovering(
                     at_ns: elapsed,
                     cost_ns: cpu_total,
                 });
-                for w in &pending {
-                    report.demotions += 1;
-                    let s = stats
-                        .entry(w.parent)
-                        .or_insert_with(|| ChunkMetrics::new(w.parent));
-                    s.demotions += 1;
-                    s.demotion_cause.get_or_insert(DemotionCause::Deadline);
-                    let p = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id),
-                        WorkSource::Sub(si) => &sub_store[si],
-                    };
-                    let cpu_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
-                    if let Some(h) = host.as_mut() {
-                        let mut attempt = 0u32;
-                        while h.roll(HostFaultKind::CpuKernel) {
-                            attempt += 1;
-                            let wait = backoff_ns(sim.cost(), attempt);
-                            report.cpu_kernel_faults += 1;
-                            report.retries += 1;
-                            report.backoff_ns += wait;
-                            report.time_lost_ns += cpu_ns + wait;
-                            sim.host_compute(
-                                cpu_ns + wait,
-                                format!("CPU retry chunk ({},{})", w.parent.row, w.parent.col),
-                            );
-                        }
-                    }
-                    sim.host_compute(
-                        cpu_ns,
-                        format!("CPU fallback chunk ({},{})", w.parent.row, w.parent.col),
-                    );
-                    if let WorkSource::Sub(si) = w.source {
-                        pieces
-                            .entry(w.parent)
-                            .or_default()
-                            .push((w.rows.start, sub_store[si].result.clone()));
-                    }
+                for w in std::mem::take(&mut pending) {
+                    r.demote(&w, DemotionCause::Deadline);
                 }
-                pending.clear();
                 continue;
             }
         }
 
         for w in &pending {
-            stats
+            r.stats
                 .entry(w.parent)
                 .or_insert_with(|| ChunkMetrics::new(w.parent))
                 .attempts += 1;
@@ -549,77 +670,30 @@ pub(crate) fn simulate_order_recovering(
         let attempts: Vec<ChunkAttempt<'_>> = pending
             .iter()
             .map(|w| ChunkAttempt {
-                chunk: match w.source {
-                    WorkSource::Orig(id) => pg.chunk(id),
-                    WorkSource::Sub(i) => &sub_store[i],
-                },
+                chunk: w.source.chunk(pg, &r.subs),
                 row: w.parent.row,
             })
             .collect();
-        let outcome = simulate_pipeline_recovering(
-            sim,
-            &attempts,
-            config.split_fraction,
-            config.pinned,
-            config.pipeline_depth,
-            &policy,
-            &mut report,
-            budget.map(|b| b.demote_after_ns()),
-        )?;
+        let demote_after = budget.map(|b| b.demote_after_ns());
+        let failed = recovering_pass(r.sim, &attempts, config, &mut r.report, demote_after)?;
         drop(attempts);
-        let failed: HashMap<usize, ChunkFailure> = outcome.failed.into_iter().collect();
+        let failed: HashMap<usize, ChunkFailure> = failed.into_iter().collect();
 
         let mut next: Vec<WorkItem> = Vec::new();
-        for (i, w) in pending.iter().enumerate() {
-            match failed.get(&i) {
-                None => {
-                    if let WorkSource::Sub(si) = w.source {
-                        pieces
-                            .entry(w.parent)
-                            .or_default()
-                            .push((w.rows.start, sub_store[si].result.clone()));
-                    }
-                }
-                Some(ChunkFailure::Oom(_))
-                    if w.rows.len() > 1 && w.depth < policy.max_resplit_depth =>
-                {
-                    report.resplits += 1;
-                    if let Some(s) = stats.get_mut(&w.parent) {
+        for (i, mut w) in std::mem::take(&mut pending).into_iter().enumerate() {
+            let (row, col) = (w.parent.row, w.parent.col);
+            match failed.get(&i).copied() {
+                None => r.keep(&w),
+                Some(ChunkFailure::Oom(_)) if splittable(&w) => {
+                    r.report.resplits += 1;
+                    if let Some(s) = r.stats.get_mut(&w.parent) {
                         s.resplits += 1;
                     }
-                    sim.note_recovery(format!(
-                        "re-split chunk ({},{}) rows {}..{}",
-                        w.parent.row, w.parent.col, w.rows.start, w.rows.end
+                    r.sim.note_recovery(format!(
+                        "re-split chunk ({row},{col}) rows {}..{}",
+                        w.rows.start, w.rows.end
                     ));
-                    for sub in split_range_by_flops(&pg.row_flops_prefix, &w.rows, 2) {
-                        if sub.is_empty() {
-                            continue;
-                        }
-                        // Host-allocation pressure: re-preparing a
-                        // sub-chunk allocates host buffers, which can
-                        // stall under memory pressure.
-                        if let Some(h) = host.as_mut() {
-                            while h.roll(HostFaultKind::HostAlloc) {
-                                let wait = backoff_ns(sim.cost(), 1);
-                                report.host_alloc_faults += 1;
-                                report.time_lost_ns += wait;
-                                sim.host_compute(wait, "host-allocation stall (re-split)");
-                            }
-                        }
-                        let p = phases::prepare_chunk(ChunkJob {
-                            a_panel: CsrView::rows(a, sub.start, sub.end),
-                            b_panel: &pg.col_panels[w.parent.col].matrix,
-                            chunk_id: next_sub_id,
-                        });
-                        next_sub_id += 1;
-                        sub_store.push(p);
-                        next.push(WorkItem {
-                            parent: w.parent,
-                            rows: sub,
-                            depth: w.depth + 1,
-                            source: WorkSource::Sub(sub_store.len() - 1),
-                        });
-                    }
+                    r.split(&w, "re-split", &mut next);
                 }
                 Some(ChunkFailure::Deadline) => {
                     // The budget's demotion point passed mid-pass: keep
@@ -627,15 +701,7 @@ pub(crate) fn simulate_order_recovering(
                     // at the next pass boundary (or fails with
                     // `DeadlineExceeded` if even CPU demotion is late).
                     deadline_hit = true;
-                    next.push(WorkItem {
-                        parent: w.parent,
-                        rows: w.rows.clone(),
-                        depth: w.depth,
-                        source: match w.source {
-                            WorkSource::Orig(id) => WorkSource::Orig(id),
-                            WorkSource::Sub(si) => WorkSource::Sub(si),
-                        },
-                    });
+                    next.push(w);
                 }
                 Some(ChunkFailure::EstimateOverflow { needed }) => {
                     // Grow-and-retry: re-run the same rows with the
@@ -644,92 +710,26 @@ pub(crate) fn simulate_order_recovering(
                     // output, so it cannot overflow again; if it no
                     // longer fits the epoch it fails as OOM and takes
                     // the ordinary re-split/demote ladder.
-                    sim.note_recovery(format!(
-                        "grow chunk ({},{}) rows {}..{} to {} output bytes and retry",
-                        w.parent.row, w.parent.col, w.rows.start, w.rows.end, needed
+                    r.sim.note_recovery(format!(
+                        "grow chunk ({row},{col}) rows {}..{} to {needed} output bytes and retry",
+                        w.rows.start, w.rows.end
                     ));
-                    let grown = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id).grown(),
-                        WorkSource::Sub(si) => sub_store[si].grown(),
-                    };
-                    sub_store.push(grown);
-                    next.push(WorkItem {
-                        parent: w.parent,
-                        rows: w.rows.clone(),
-                        depth: w.depth,
-                        source: WorkSource::Sub(sub_store.len() - 1),
-                    });
+                    r.respec(std::slice::from_mut(&mut w), PreparedChunk::grown);
+                    next.push(w);
                 }
                 Some(f) => {
                     if !policy.demote_to_cpu {
-                        return Err(match f {
-                            ChunkFailure::Oom(e) => crate::OocError::DeviceMemory(*e),
-                            ChunkFailure::Faults => crate::OocError::Worker {
-                                worker: "gpu".into(),
-                                message: format!(
-                                    "chunk ({},{}) exhausted its retry budget",
-                                    w.parent.row, w.parent.col
-                                ),
-                            },
-                            ChunkFailure::EstimateOverflow { .. } => {
-                                unreachable!("estimate overflows are always grown and retried")
-                            }
-                            ChunkFailure::Deadline => {
-                                unreachable!("deadline failures are re-queued for supervision")
-                            }
-                        });
+                        return Err(f.into_error(&format!("({row},{col})")));
                     }
-                    report.demotions += 1;
-                    if let Some(s) = stats.get_mut(&w.parent) {
-                        s.demotions += 1;
-                        s.demotion_cause.get_or_insert(match f {
-                            ChunkFailure::Oom(_) => DemotionCause::DeviceMemory,
-                            ChunkFailure::Faults => DemotionCause::Faults,
-                            ChunkFailure::EstimateOverflow { .. } => {
-                                unreachable!("estimate overflows are always grown and retried")
-                            }
-                            ChunkFailure::Deadline => {
-                                unreachable!("deadline failures are re-queued for supervision")
-                            }
-                        });
-                    }
-                    let p = match w.source {
-                        WorkSource::Orig(id) => pg.chunk(id),
-                        WorkSource::Sub(si) => &sub_store[si],
-                    };
-                    let cpu_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
-                    sim.note_recovery(format!(
-                        "demote chunk ({},{}) rows {}..{} to CPU",
-                        w.parent.row, w.parent.col, w.rows.start, w.rows.end
+                    r.sim.note_recovery(format!(
+                        "demote chunk ({row},{col}) rows {}..{} to CPU",
+                        w.rows.start, w.rows.end
                     ));
-                    // Demoted chunks run in the CPU fault domain:
-                    // transient CPU-kernel faults cost a recompute plus
-                    // backoff before the clean pass lands.
-                    if let Some(h) = host.as_mut() {
-                        let mut attempt = 0u32;
-                        while h.roll(HostFaultKind::CpuKernel) {
-                            attempt += 1;
-                            let wait = backoff_ns(sim.cost(), attempt);
-                            report.cpu_kernel_faults += 1;
-                            report.retries += 1;
-                            report.backoff_ns += wait;
-                            report.time_lost_ns += cpu_ns + wait;
-                            sim.host_compute(
-                                cpu_ns + wait,
-                                format!("CPU retry chunk ({},{})", w.parent.row, w.parent.col),
-                            );
-                        }
-                    }
-                    sim.host_compute(
-                        cpu_ns,
-                        format!("CPU fallback chunk ({},{})", w.parent.row, w.parent.col),
-                    );
-                    if let WorkSource::Sub(si) = w.source {
-                        pieces
-                            .entry(w.parent)
-                            .or_default()
-                            .push((w.rows.start, sub_store[si].result.clone()));
-                    }
+                    let cause = match f {
+                        ChunkFailure::Oom(_) => DemotionCause::DeviceMemory,
+                        _ => DemotionCause::Faults,
+                    };
+                    r.demote(&w, cause);
                 }
             }
         }
@@ -739,70 +739,37 @@ pub(crate) fn simulate_order_recovering(
         // re-split every remaining multi-row item in one batch via the
         // cached planner prefix sums instead of letting each chunk walk
         // the per-chunk re-split ladder alone. Each trigger fires once.
-        let capacity_pressure = sim.memory().capacity() * 4 < planning_capacity * 3;
-        let overflow_pressure = report.estimate_overflows >= 3;
+        let capacity_pressure = r.sim.memory().capacity() * 4 < planning_capacity * 3;
+        let overflow_pressure = r.report.estimate_overflows >= 3;
         let fire = (capacity_pressure && !replanned_capacity)
             || (overflow_pressure && !replanned_overflow);
-        if fire
-            && next
-                .iter()
-                .any(|w| w.rows.len() > 1 && w.depth < policy.max_resplit_depth)
-        {
-            if capacity_pressure {
-                replanned_capacity = true;
-            }
-            if overflow_pressure {
-                replanned_overflow = true;
-            }
-            report.replans += 1;
+        if fire && next.iter().any(splittable) {
+            replanned_capacity |= capacity_pressure;
+            replanned_overflow |= overflow_pressure;
+            r.report.replans += 1;
             degradations.push(DegradationEvent {
                 cause: DegradationCause::Replan,
-                at_ns: sim.now(),
+                at_ns: r.sim.now(),
                 cost_ns: 0,
             });
-            sim.note_recovery(format!(
+            r.sim.note_recovery(format!(
                 "re-plan {} remaining work items under sustained pressure",
                 next.len()
             ));
-            let items = std::mem::take(&mut next);
-            for w in items {
-                if w.rows.len() <= 1 || w.depth >= policy.max_resplit_depth {
+            for w in std::mem::take(&mut next) {
+                if splittable(&w) {
+                    r.split(&w, "re-plan", &mut next);
+                } else {
                     next.push(w);
-                    continue;
-                }
-                for sub in split_range_by_flops(&pg.row_flops_prefix, &w.rows, 2) {
-                    if sub.is_empty() {
-                        continue;
-                    }
-                    if let Some(h) = host.as_mut() {
-                        while h.roll(HostFaultKind::HostAlloc) {
-                            let wait = backoff_ns(sim.cost(), 1);
-                            report.host_alloc_faults += 1;
-                            report.time_lost_ns += wait;
-                            sim.host_compute(wait, "host-allocation stall (re-plan)");
-                        }
-                    }
-                    let p = phases::prepare_chunk(ChunkJob {
-                        a_panel: CsrView::rows(a, sub.start, sub.end),
-                        b_panel: &pg.col_panels[w.parent.col].matrix,
-                        chunk_id: next_sub_id,
-                    });
-                    next_sub_id += 1;
-                    sub_store.push(p);
-                    next.push(WorkItem {
-                        parent: w.parent,
-                        rows: sub,
-                        depth: w.depth + 1,
-                        source: WorkSource::Sub(sub_store.len() - 1),
-                    });
                 }
             }
         }
         pending = next;
     }
 
+    let sim_ns = r.sim.finish();
     let mut overrides = HashMap::new();
-    for (parent, mut parts) in pieces {
+    for (parent, mut parts) in r.pieces {
         parts.sort_by_key(|&(start, _)| start);
         let refs: Vec<&CsrMatrix> = parts.iter().map(|(_, m)| m).collect();
         debug_assert_eq!(
@@ -812,28 +779,32 @@ pub(crate) fn simulate_order_recovering(
         );
         overrides.insert(parent, sparse::ops::vstack(&refs)?);
     }
-    let mut chunk_stats: Vec<ChunkMetrics> = stats.into_values().collect();
+    let mut chunk_stats: Vec<ChunkMetrics> = r.stats.into_values().collect();
     chunk_stats.sort_unstable_by_key(|s| (s.row, s.col));
-    Ok(RecoveredOutcome {
-        sim_ns: sim.finish(),
-        report,
+    let recovery = r.report;
+    Ok(DeviceRun {
+        sim_ns,
+        metrics: Metrics::collect(&sim, sim_ns)
+            .with_chunks(chunk_stats)
+            .with_degradations(degradations),
+        timeline: sim.into_timeline(),
         overrides,
-        chunk_stats,
-        degradations,
+        recovery,
     })
 }
 
-/// Estimator accuracy accounting for a speculative run: per-chunk
-/// hit/miss against the estimated allocations, summed estimated vs
-/// actual output nonzeros, the applied headroom, and the
-/// grow-and-retry count from the recovery report. Shared by every
-/// executor that honors the estimator (async, hybrid, multi-GPU).
+/// Estimator accuracy accounting for a run on a speculative grid
+/// (`None` for exact grids): per-chunk hit/miss against the estimated
+/// allocations, summed estimated vs actual output nonzeros, the
+/// applied headroom, and the grow-and-retry count from the recovery
+/// report. Shared by every executor that honors the estimator (async,
+/// hybrid, multi-GPU).
 pub(crate) fn estimator_stats(
     config: &OocConfig,
     pg: &PreparedGrid,
-    model: &EstModel,
     recovery: &RecoveryReport,
-) -> EstimatorStats {
+) -> Option<EstimatorStats> {
+    let model = pg.est_model.as_ref()?;
     let mut est_nnz = 0u64;
     let mut chunk_hits = 0u64;
     let mut chunk_misses = 0u64;
@@ -849,7 +820,7 @@ pub(crate) fn estimator_stats(
             }
         }
     }
-    EstimatorStats {
+    Some(EstimatorStats {
         kind: config.estimator.kind.name().to_string(),
         sampled_rows: model.sampled_rows as u64,
         est_nnz,
@@ -859,7 +830,7 @@ pub(crate) fn estimator_stats(
         overflow_rows,
         retries: recovery.estimate_overflows,
         headroom: config.estimator.headroom,
-    }
+    })
 }
 
 /// Target over-allocation for an adapted headroom: aim to allocate
@@ -986,78 +957,23 @@ impl OutOfCoreGpu {
     /// configuration whose planning-relevant fields (panels, estimator,
     /// column partitioner, device geometry) match `self.config()`.
     pub fn multiply_prepared(&self, a: &CsrMatrix, pg: &PreparedGrid) -> Result<OocRun> {
-        // Sync mode follows Algorithm 3's natural loop; async mode
-        // reorders by decreasing flops when configured (Section IV-C),
-        // grouped by row panel to keep the A panel resident.
-        let order = match (self.config.mode, self.config.reorder_chunks) {
-            (ExecMode::Async, true) => ChunkGrid::grouped_desc(&pg.grid.sorted_desc()),
-            _ => pg.grid.natural_order(),
-        };
-        // Speculative grids route through the recovering orchestration
-        // even without a fault plan: estimate overflows surface as
-        // recoverable chunk failures there. Host fault plans and run
-        // budgets are enforced by the same supervised pass loop.
-        let recovering = self.config.fault_plan.is_some()
-            || self.config.host_faults.is_some()
-            || self.config.budget.is_some()
-            || pg.est_model.is_some();
-        let (sim_ns, timeline, overrides, recovery, metrics) = if recovering {
-            let mut sim = match &self.config.fault_plan {
-                Some(plan) => GpuSim::with_faults(
-                    self.config.device.clone(),
-                    self.config.cost.clone(),
-                    plan.clone(),
-                ),
-                None => GpuSim::new(self.config.device.clone(), self.config.cost.clone()),
-            };
-            let rec = simulate_order_recovering(&mut sim, a, pg, &order, &self.config)?;
-            let metrics = Metrics::collect(&sim, rec.sim_ns)
-                .with_chunks(rec.chunk_stats)
-                .with_degradations(rec.degradations);
-            (
-                rec.sim_ns,
-                sim.into_timeline(),
-                rec.overrides,
-                rec.report,
-                metrics,
-            )
-        } else {
-            let mut sim = GpuSim::new(self.config.device.clone(), self.config.cost.clone());
-            let sim_ns = simulate_order(&mut sim, pg, &order, &self.config)?;
-            let metrics = Metrics::collect(&sim, sim_ns);
-            (
-                sim_ns,
-                sim.into_timeline(),
-                HashMap::new(),
-                RecoveryReport::default(),
-                metrics,
-            )
-        };
-        let metrics = match &pg.est_model {
-            Some(model) => {
-                metrics.with_estimator(estimator_stats(&self.config, pg, model, &recovery))
-            }
-            None => metrics,
-        };
-        debug_assert!(timeline.validate().is_ok(), "timeline invariants violated");
-
-        let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = order
-            .iter()
-            .map(|info| {
-                let result = overrides.get(&info.id).unwrap_or(&pg.chunk(info.id).result);
-                (info.id, result)
-            })
-            .collect();
-        let c = assemble(&pg.plan, &chunk_refs);
+        let order = execution_order(pg, &self.config);
+        let mut run = run_on_device(a, pg, &order, &self.config)?;
+        run.metrics.estimator = estimator_stats(&self.config, pg, &run.recovery);
+        debug_assert!(
+            run.timeline.validate().is_ok(),
+            "timeline invariants violated"
+        );
+        let c = assemble_product(pg, &order, &run.overrides);
         Ok(OocRun {
             flops: pg.total_flops(),
             nnz_c: pg.total_nnz(),
-            sim_ns,
-            timeline,
+            sim_ns: run.sim_ns,
+            timeline: run.timeline,
             order: order.iter().map(|i| i.id).collect(),
             plan: pg.plan.clone(),
-            recovery,
-            metrics,
+            recovery: run.recovery,
+            metrics: run.metrics,
             c,
         })
     }

@@ -21,6 +21,7 @@
 //! path runs* — never the numeric result. The bit-identical-`C`
 //! invariant of the device fault layer extends to the whole node.
 
+use crate::recovery::{backoff_ns, RecoveryReport};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -267,6 +268,29 @@ impl HostFaultState {
             self.consecutive[i] = 0;
         }
         inject
+    }
+
+    /// Runs one CPU chunk of `chunk_ns` through the CPU-kernel fault
+    /// domain: every injected fault costs a recompute plus backoff
+    /// before the clean pass. Counts go to `report`; each retry's cost
+    /// (`chunk_ns` plus its backoff) is handed to `charge`, in order.
+    pub(crate) fn cpu_kernel_retries(
+        &mut self,
+        cost: &gpu_sim::CostModel,
+        chunk_ns: gpu_sim::SimTime,
+        report: &mut RecoveryReport,
+        mut charge: impl FnMut(gpu_sim::SimTime),
+    ) {
+        let mut attempt = 0u32;
+        while self.roll(HostFaultKind::CpuKernel) {
+            attempt += 1;
+            let wait = backoff_ns(cost, attempt);
+            report.cpu_kernel_faults += 1;
+            report.retries += 1;
+            report.backoff_ns += wait;
+            report.time_lost_ns += chunk_ns + wait;
+            charge(chunk_ns + wait);
+        }
     }
 
     /// A deterministic corruption site for a shard of `len` bytes:

@@ -12,23 +12,21 @@
 //! calibrated CPU model, with all numeric results computed for real by
 //! the same multicore code the CPU baseline uses.
 
-use crate::assemble::assemble;
-use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
-use crate::config::{ExecMode, HybridConfig, SchedulerKind};
+use crate::chunks::{ChunkGrid, ChunkInfo};
+use crate::config::{HybridConfig, OocConfig, SchedulerKind};
 use crate::error::OocError;
 use crate::executor::{
-    attach_speculation_all, estimator_stats, prepare_grid, simulate_order,
-    simulate_order_recovering, PreparedGrid,
+    assemble_product, estimator_stats, plan_grid, prepare_grid, run_on_device, simulate_order,
+    DeviceRun, PreparedGrid,
 };
-use crate::faults::{self, HostFaultKind, HostFaultState};
+use crate::faults::{self, HostFaultState};
 use crate::metrics::{Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
-use crate::recovery::{backoff_ns, RecoveryReport};
+use crate::recovery::RecoveryReport;
 use crate::scheduler::assign;
 use crate::Result;
 use gpu_sim::{GpuSim, SimTime, Timeline};
 use sparse::CsrMatrix;
-use std::collections::HashMap;
 
 /// Extracts a readable message from a captured panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -150,6 +148,32 @@ pub fn auto_gpu_ratio(cost: &gpu_sim::CostModel, flops: u64, nnz_c: u64, pinned:
     (s / (s + 1.0)).clamp(0.0, 1.0)
 }
 
+/// The CPU worker's clock over `chunks`: it runs them one after
+/// another, each with all cores (Algorithm 4 line 26), at the
+/// calibrated CPU cost. The worker is a host fault domain of its own:
+/// a transient CPU-kernel fault costs a recompute plus backoff on this
+/// clock. Scheduling stays fault-blind, so claim decisions (and hence
+/// C's assembly order) never move.
+pub(crate) fn cpu_worker_ns(
+    pg: &PreparedGrid,
+    chunks: &[ChunkInfo],
+    config: &OocConfig,
+    recovery: &mut RecoveryReport,
+) -> SimTime {
+    let mut host = (config.host_faults.as_ref())
+        .map(|p| HostFaultState::new(p.derive(faults::streams::CPU_WORKER)));
+    let mut clock: SimTime = 0;
+    for info in chunks {
+        let p = pg.chunk(info.id);
+        let chunk_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
+        if let Some(h) = host.as_mut() {
+            h.cpu_kernel_retries(&config.cost, chunk_ns, recovery, |ns| clock += ns);
+        }
+        clock += chunk_ns;
+    }
+    clock
+}
+
 /// The hybrid executor.
 pub struct Hybrid {
     config: HybridConfig,
@@ -164,31 +188,6 @@ impl Hybrid {
     /// Access to the configuration.
     pub fn config(&self) -> &HybridConfig {
         &self.config
-    }
-
-    /// CPU-side completion time for a chunk set: the CPU worker
-    /// processes its chunks one after another, each with all cores
-    /// (Algorithm 4 line 26).
-    fn cpu_time(&self, pg: &PreparedGrid, chunks: &[ChunkInfo]) -> SimTime {
-        chunks
-            .iter()
-            .map(|info| {
-                let p = pg.chunk(info.id);
-                self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz)
-            })
-            .sum()
-    }
-
-    /// GPU-side completion time for an ordered chunk set.
-    fn gpu_time(
-        &self,
-        pg: &PreparedGrid,
-        chunks: &[ChunkInfo],
-    ) -> Result<(SimTime, Timeline, Metrics)> {
-        let mut sim = GpuSim::new(self.config.gpu.device.clone(), self.config.gpu.cost.clone());
-        let t = simulate_order(&mut sim, pg, chunks, &self.config.gpu)?;
-        let metrics = Metrics::collect(&sim, t);
-        Ok((t, sim.into_timeline(), metrics))
     }
 
     fn ordered_chunks(&self, pg: &PreparedGrid) -> Vec<ChunkInfo> {
@@ -218,64 +217,18 @@ impl Hybrid {
         let gpu_order = ChunkGrid::grouped_desc(&assignment.gpu);
         let mut recovery = base_recovery;
 
-        // Speculative grids (non-exact estimator) route through the
-        // recovering orchestration like the standalone GPU executor:
-        // estimate overflows surface as recoverable chunk failures
-        // there. Assignment above already happened on exact per-chunk
+        // Assignment above already happened on exact per-chunk
         // flops/nnz — the estimator only sizes device allocations.
-        let recovering = self.config.gpu.fault_plan.is_some()
-            || self.config.gpu.host_faults.is_some()
-            || self.config.gpu.budget.is_some()
-            || pg.est_model.is_some();
-        let (gpu_ns, timeline, overrides, metrics) = if gpu_dead {
-            (0, Timeline::default(), HashMap::new(), Metrics::default())
-        } else if recovering {
-            let mut sim = match &self.config.gpu.fault_plan {
-                Some(plan) => GpuSim::with_faults(
-                    self.config.gpu.device.clone(),
-                    self.config.gpu.cost.clone(),
-                    plan.clone(),
-                ),
-                None => GpuSim::new(self.config.gpu.device.clone(), self.config.gpu.cost.clone()),
-            };
-            let rec = simulate_order_recovering(&mut sim, a, pg, &gpu_order, &self.config.gpu)?;
-            let metrics = Metrics::collect(&sim, rec.sim_ns)
-                .with_chunks(rec.chunk_stats)
-                .with_degradations(rec.degradations);
-            recovery.merge(&rec.report);
-            (rec.sim_ns, sim.into_timeline(), rec.overrides, metrics)
+        let gpu = if gpu_dead {
+            DeviceRun::default()
         } else {
-            let (t, tl, metrics) = self.gpu_time(pg, &gpu_order)?;
-            (t, tl, HashMap::new(), metrics)
+            run_on_device(a, pg, &gpu_order, &self.config.gpu)?
         };
-        let metrics = match &pg.est_model {
-            Some(model) => {
-                metrics.with_estimator(estimator_stats(&self.config.gpu, pg, model, &recovery))
-            }
-            None => metrics,
-        };
-        let mut cpu_ns = self.cpu_time(pg, &assignment.cpu);
-        // The CPU worker is its own host fault domain: transient
-        // CPU-kernel faults cost a recompute plus backoff on the CPU
-        // clock. Assignment and scheduling stay fault-blind so the
-        // claim decisions (and hence C's assembly order) never move.
-        if let Some(hp) = &self.config.gpu.host_faults {
-            let mut host = HostFaultState::new(hp.derive(faults::streams::CPU_WORKER));
-            for info in &assignment.cpu {
-                let p = pg.chunk(info.id);
-                let chunk_ns = self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz);
-                let mut attempt = 0u32;
-                while host.roll(HostFaultKind::CpuKernel) {
-                    attempt += 1;
-                    let wait = backoff_ns(&self.config.gpu.cost, attempt);
-                    cpu_ns += chunk_ns + wait;
-                    recovery.cpu_kernel_faults += 1;
-                    recovery.retries += 1;
-                    recovery.backoff_ns += wait;
-                    recovery.time_lost_ns += chunk_ns + wait;
-                }
-            }
-        }
+        recovery.merge(&gpu.recovery);
+        let mut metrics = gpu.metrics;
+        metrics.estimator = estimator_stats(&self.config.gpu, pg, &recovery);
+        let gpu_ns = gpu.sim_ns;
+        let mut cpu_ns = cpu_worker_ns(pg, &assignment.cpu, &self.config.gpu, &mut recovery);
         if gpu_dead {
             // Already-prepared host results are kept; the CPU clock
             // pays for recomputing every orphaned GPU chunk.
@@ -285,15 +238,7 @@ impl Hybrid {
                 recovery.demotions += 1;
             }
         }
-
-        let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = order
-            .iter()
-            .map(|info| {
-                let result = overrides.get(&info.id).unwrap_or(&pg.chunk(info.id).result);
-                (info.id, result)
-            })
-            .collect();
-        let c = assemble(&pg.plan, &chunk_refs);
+        let c = assemble_product(pg, &order, &gpu.overrides);
 
         let sim_ns = gpu_ns.max(cpu_ns);
         let total_flops = pg.total_flops();
@@ -322,7 +267,7 @@ impl Hybrid {
             num_cpu_chunks: assignment.cpu.len(),
             flops: total_flops,
             nnz_c: pg.total_nnz(),
-            timeline,
+            timeline: gpu.timeline,
             plan: pg.plan.clone(),
             recovery,
             metrics: metrics.with_scheduler(stats),
@@ -356,17 +301,6 @@ impl Hybrid {
         self.run_prepared(a, pg, false, RecoveryReport::default())
     }
 
-    /// The GPU configuration with the estimator forced exact, used by
-    /// [`Hybrid::ratio_search`] only: the exhaustive split search
-    /// compares static prefix splits on the *exact* schedule so its
-    /// per-`g` times stay comparable across estimator settings.
-    fn exact_gpu_config(&self) -> crate::OocConfig {
-        self.config
-            .gpu
-            .clone()
-            .estimator(accum::estimate::EstimateConfig::exact())
-    }
-
     /// [`Hybrid::multiply`] forced through the paper's one-shot static
     /// split, regardless of the configured scheduler — the bit-exact
     /// Algorithm 4 baseline the work-stealing scheduler is compared
@@ -389,51 +323,22 @@ impl Hybrid {
     /// threaded and sequential runs are bit-identical even under an
     /// active fault plan. The difference is host wall-clock only.
     pub fn multiply_threaded(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
-        use crate::plan::Planner;
-        use gpu_spgemm::{phases, ChunkJob, PreparedChunk};
-        use sparse::CsrView;
+        use gpu_spgemm::PreparedChunk;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         self.config.validate()?;
         let cfg = &self.config.gpu;
-        // Plan exactly like `plan_grid`: a non-exact estimator under
-        // async mode sizes the grid speculatively, so the threaded and
-        // sequential paths stay field-identical under any estimator.
-        let speculative = cfg.mode == ExecMode::Async
-            && cfg.estimator.kind != accum::estimate::EstimatorKind::Exact;
-        let planner = if speculative {
-            Planner::estimated(a, b, &cfg.estimator)?
-        } else {
-            Planner::new(a, b)?
-        };
-        let plan = match cfg.panels {
-            Some((r, c)) => planner.fixed(r, c)?,
-            None => planner.auto(cfg.device.device_memory_bytes)?,
-        };
-        let est_model = planner.est_model().copied();
-        let row_flops_prefix = planner.row_flops_prefix().to_vec();
-        let col_panels = cfg.col_partitioner.partition(b, &plan.col_ranges);
-        let grid = ChunkGrid::compute(a, &plan, &col_panels);
-        let k_c = plan.col_panels();
-        let n = plan.num_chunks();
+        // The same planning prologue as `prepare_grid`, so the threaded
+        // and sequential paths stay field-identical under any estimator.
+        let pg = plan_grid(a, b, cfg)?;
+        let n = pg.plan.num_chunks();
 
         // One scratch pool shared by both workers (it is Sync; leases
         // serialize only on the pop/push). Chunk results are pure
         // functions of the index, so pooled reuse cannot affect them.
         let scratch = accum::ScratchPool::new();
-        let prepare = |idx: usize| -> PreparedChunk {
-            let range = &plan.row_ranges[idx / k_c];
-            phases::prepare_chunk_with(
-                ChunkJob {
-                    a_panel: CsrView::rows(a, range.start, range.end),
-                    b_panel: &col_panels[idx % k_c].matrix,
-                    chunk_id: idx,
-                },
-                &scratch,
-                None,
-            )
-        };
+        let prepare = |idx: usize| pg.prepare_chunk(a, idx, &scratch);
 
         // Both workers drain one shared cursor; chunk content is a pure
         // function of the index, so the interleaving cannot affect the
@@ -510,23 +415,12 @@ impl Hybrid {
         }
         // The surviving (main) thread re-prepares whatever the dead
         // worker dropped, so the run still completes.
-        let mut prepared: Vec<PreparedChunk> = slots
+        let prepared = slots
             .into_iter()
             .enumerate()
             .map(|(idx, slot)| slot.unwrap_or_else(|| prepare(idx)))
             .collect();
-        if let Some(model) = &est_model {
-            attach_speculation_all(a, &plan, &col_panels, &mut prepared, model);
-        }
-
-        let pg = PreparedGrid {
-            plan,
-            grid,
-            prepared,
-            col_panels,
-            row_flops_prefix,
-            est_model,
-        };
+        let pg = pg.with_chunks(a, prepared);
         self.run_prepared(a, &pg, gpu_dead, recovery)
     }
 
@@ -536,7 +430,12 @@ impl Hybrid {
     /// prefix splits — the same family both schedulers draw from.
     pub fn ratio_search(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<RatioSearch> {
         self.config.validate()?;
-        let pg = prepare_grid(a, b, &self.exact_gpu_config())?;
+        // Static prefix splits are compared on the *exact* schedule, so
+        // the per-`g` times stay comparable across estimator settings.
+        // The search ignores fault plans, device and host alike.
+        let mut gpu = (self.config.gpu.clone()).estimator(accum::estimate::EstimateConfig::exact());
+        gpu.host_faults = None;
+        let pg = prepare_grid(a, b, &gpu)?;
         let order = self.ordered_chunks(&pg);
         let (ratio_gpu, _) = ChunkGrid::split_by_ratio(&order, self.config.gpu_ratio);
         let ratio_g = ratio_gpu.len();
@@ -544,8 +443,9 @@ impl Hybrid {
         let mut per_g = Vec::with_capacity(order.len() + 1);
         for g in 0..=order.len() {
             let gpu_order = ChunkGrid::grouped_desc(&order[..g]);
-            let (gpu_ns, _, _) = self.gpu_time(&pg, &gpu_order)?;
-            let cpu_ns = self.cpu_time(&pg, &order[g..]);
+            let mut sim = GpuSim::new(gpu.device.clone(), gpu.cost.clone());
+            let gpu_ns = simulate_order(&mut sim, &pg, &gpu_order, &gpu)?;
+            let cpu_ns = cpu_worker_ns(&pg, &order[g..], &gpu, &mut RecoveryReport::default());
             per_g.push((g, gpu_ns.max(cpu_ns)));
         }
         let &(best_g, best_ns) = per_g

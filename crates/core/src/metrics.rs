@@ -253,8 +253,9 @@ pub struct Metrics {
     pub timeline: TimelineMetrics,
     /// Device-memory allocation high-water mark, bytes.
     pub device_high_water_bytes: u64,
-    /// Bump-pool usage high-water mark, bytes (0 when the executor
-    /// never carved a pool, e.g. pure-CPU demotion runs).
+    /// Pool high-water mark, bytes: the pipeline's resident-A slot plus
+    /// the largest single chunk reservation it admitted (0 when the
+    /// executor never carved a pool, e.g. pure-CPU demotion runs).
     pub pool_high_water_bytes: u64,
     /// Per-chunk recovery counters; empty for exact fault-free runs.
     /// Speculative runs always route through the recovering pass and
@@ -334,8 +335,11 @@ impl Metrics {
     /// Serializes to pretty-printed JSON.
     ///
     /// Hand-rolled (field names pinned by the schema tests) so the
-    /// `--metrics-out` CLI path has no serde-runtime dependency; the
-    /// derived `Serialize` impl emits the same shape for embedders.
+    /// `--metrics-out` CLI path has no serde-runtime dependency. The
+    /// derived `Serialize` impl has the same fields but not the same
+    /// values for enums: this writer prints their report names
+    /// (`"work-stealing"`, `"device_memory"`, `"forced_exact"`), the
+    /// derive prints variant names (`"WorkStealing"`, ...).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048);
         s.push_str("{\n");

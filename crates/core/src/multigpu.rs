@@ -18,18 +18,18 @@
 //! longest-processing-time (LPT) list assignment: each chunk in flop
 //! order goes to the worker with the smallest committed load.
 
-use crate::assemble::assemble;
 use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
 use crate::config::{OocConfig, SchedulerKind};
 use crate::executor::{
-    estimator_stats, prepare_grid, simulate_order, simulate_order_recovering, PreparedGrid,
+    assemble_product, estimator_stats, prepare_grid, run_on_device, PreparedGrid,
 };
-use crate::faults::{self, HostFaultKind, HostFaultState};
+use crate::faults;
+use crate::hybrid::cpu_worker_ns;
 use crate::metrics::{Metrics, SchedulerStats};
 use crate::plan::PanelPlan;
-use crate::recovery::{backoff_ns, RecoveryReport};
+use crate::recovery::RecoveryReport;
 use crate::Result;
-use gpu_sim::{CostModel, GpuSim, KernelKind, SimTime, Timeline};
+use gpu_sim::{CostModel, KernelKind, SimTime, Timeline};
 use gpu_spgemm::PreparedChunk;
 use sparse::CsrMatrix;
 use std::collections::HashMap;
@@ -239,7 +239,6 @@ pub fn multiply_multi_gpu(
     // the realized flop split still comes from actual per-chunk flops.
     let pg = prepare_grid(a, b, &config.gpu)?;
     let order = pg.grid.sorted_desc();
-    let cost = &config.gpu.cost;
     let (assignment, gpu_claims, cpu_steals) = distribute(config, &pg, &order)?;
 
     // Simulate each GPU on its own device; cost the CPU worker.
@@ -249,95 +248,37 @@ pub fn multiply_multi_gpu(
     let mut gpu_chunks = Vec::with_capacity(config.num_gpus);
     let mut recovery = RecoveryReport::default();
     let mut overrides: HashMap<ChunkId, CsrMatrix> = HashMap::new();
-    let recovering = config.gpu.fault_plan.is_some()
-        || config.gpu.host_faults.is_some()
-        || config.gpu.budget.is_some()
-        || pg.est_model.is_some();
     for (device, chunks) in assignment.iter().take(config.num_gpus).enumerate() {
-        let grouped = ChunkGrid::grouped_desc(chunks);
-        let t = if recovering {
-            // Each device draws from its own derived fault streams
-            // (device and host) so one GPU's faults never shift
-            // another's.
-            let mut dev_cfg = config.gpu.clone();
-            if let Some(hp) = &config.gpu.host_faults {
-                dev_cfg.host_faults = Some(hp.derive(faults::streams::MULTI_GPU + device as u64));
-            }
-            let mut sim = match &config.gpu.fault_plan {
-                Some(plan) => GpuSim::with_faults(
-                    config.gpu.device.clone(),
-                    cost.clone(),
-                    plan.derive(device as u64),
-                ),
-                None => GpuSim::new(config.gpu.device.clone(), cost.clone()),
-            };
-            let rec = simulate_order_recovering(&mut sim, a, &pg, &grouped, &dev_cfg)?;
-            recovery.merge(&rec.report);
-            overrides.extend(rec.overrides);
-            metrics.push(
-                Metrics::collect(&sim, rec.sim_ns)
-                    .with_chunks(rec.chunk_stats)
-                    .with_degradations(rec.degradations),
-            );
-            timelines.push(sim.into_timeline());
-            rec.sim_ns
-        } else {
-            let mut sim = GpuSim::new(config.gpu.device.clone(), cost.clone());
-            let t = simulate_order(&mut sim, &pg, &grouped, &config.gpu)?;
-            metrics.push(Metrics::collect(&sim, t));
-            timelines.push(sim.into_timeline());
-            t
-        };
-        gpu_ns.push(t);
+        // Each device draws from its own derived fault streams (device
+        // and host) so one GPU's faults never shift another's.
+        let mut dev_cfg = config.gpu.clone();
+        dev_cfg.fault_plan = config
+            .gpu
+            .fault_plan
+            .as_ref()
+            .map(|p| p.derive(device as u64));
+        dev_cfg.host_faults = (config.gpu.host_faults.as_ref())
+            .map(|p| p.derive(faults::streams::MULTI_GPU + device as u64));
+        let run = run_on_device(a, &pg, &ChunkGrid::grouped_desc(chunks), &dev_cfg)?;
+        recovery.merge(&run.recovery);
+        overrides.extend(run.overrides);
+        gpu_ns.push(run.sim_ns);
+        timelines.push(run.timeline);
+        metrics.push(run.metrics);
         gpu_chunks.push(chunks.len());
     }
     // Estimator accuracy is a property of the shared grid, not of one
     // device; report it once, on device 0, so `--json` consumers see it.
-    if let (Some(model), Some(m0)) = (&pg.est_model, metrics.first_mut()) {
-        *m0 =
-            std::mem::take(m0).with_estimator(estimator_stats(&config.gpu, &pg, model, &recovery));
+    if let Some(m0) = metrics.first_mut() {
+        m0.estimator = estimator_stats(&config.gpu, &pg, &recovery);
     }
-    let (cpu_ns, cpu_chunks) = if config.use_cpu {
-        let chunks = &assignment[config.num_gpus];
-        // The CPU worker is a host fault domain of its own: transient
-        // CPU-kernel faults cost a recompute plus backoff, charged to
-        // the worker's clock.
-        let mut host = config
-            .gpu
-            .host_faults
-            .as_ref()
-            .map(|p| HostFaultState::new(p.derive(faults::streams::CPU_WORKER)));
-        let mut t: SimTime = 0;
-        for info in chunks {
-            let p = pg.chunk(info.id);
-            let chunk_ns = cost.cpu_chunk_duration(p.flops, p.nnz);
-            if let Some(state) = host.as_mut() {
-                let mut attempt = 0u32;
-                while state.roll(HostFaultKind::CpuKernel) {
-                    attempt += 1;
-                    let backoff = backoff_ns(cost, attempt);
-                    t += chunk_ns + backoff;
-                    recovery.cpu_kernel_faults += 1;
-                    recovery.retries += 1;
-                    recovery.backoff_ns += backoff;
-                    recovery.time_lost_ns += chunk_ns + backoff;
-                }
-            }
-            t += chunk_ns;
-        }
-        (t, chunks.len())
-    } else {
-        (0, 0)
-    };
+    // The CPU worker, when present, is the last slot.
+    let cpu_chunks = assignment
+        .get(config.num_gpus)
+        .map_or(&[][..], Vec::as_slice);
+    let cpu_ns = cpu_worker_ns(&pg, cpu_chunks, &config.gpu, &mut recovery);
 
-    let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = order
-        .iter()
-        .map(|info| {
-            let result = overrides.get(&info.id).unwrap_or(&pg.chunk(info.id).result);
-            (info.id, result)
-        })
-        .collect();
-    let c = assemble(&pg.plan, &chunk_refs);
+    let c = assemble_product(&pg, &order, &overrides);
     let sim_ns = gpu_ns.iter().copied().max().unwrap_or(0).max(cpu_ns);
     let total_flops = pg.total_flops();
     let gpu_flops: u64 = assignment
@@ -364,7 +305,7 @@ pub fn multiply_multi_gpu(
         gpu_ns,
         cpu_ns,
         gpu_chunks,
-        cpu_chunks,
+        cpu_chunks: cpu_chunks.len(),
         flops: total_flops,
         timelines,
         metrics,

@@ -9,17 +9,30 @@
 //! 3. only then is the *previous* chunk's output transfer issued, in
 //!    two portions: the first (33 % of rows) overlaps this chunk's
 //!    symbolic execution, the second overlaps its numeric execution;
-//! 4. all device structures come from a pre-allocated [`MemoryPool`],
-//!    so no `cudaMalloc` barrier ever splits the streams.
+//! 4. all device structures come from one pre-allocated pool, so no
+//!    `cudaMalloc` barrier ever splits the streams.
 //!
 //! Buffer-reuse safety falls out of stream FIFO order: chunk `i`
 //! recycles the pool epoch of chunk `i−2`, whose output portions were
 //! issued on the same stream, so new writes are ordered after the old
 //! transfer by construction.
+//!
+//! The schedule is written once, in `PipelineSession`. Every stage
+//! goes through the simulator's fallible `try_enqueue_*` calls with
+//! bounded retries, so a fault-free simulator runs it unchanged and a
+//! faulted one heals it. Three callers push chunks into a session:
+//!
+//! * [`simulate_pipeline_depth`], the exact one-shot pass: any chunk
+//!   failure is an error;
+//! * `recovering_pass`, one pass of the self-healing executor: failed
+//!   chunks are handed back for re-splitting, growing or demotion;
+//! * the work-stealing scheduler's claim auction, which pushes onto a
+//!   clean scratch simulator, admits speculative chunks by their exact
+//!   footprint, and reads the session's projected finish time.
 
 use crate::recovery::{backoff_ns, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{
-    CopyDir, GpuSim, HostMem, KernelKind, MemoryPool, OutOfDeviceMemory, SimTime, Stream,
+    CopyDir, DeviceAlloc, GpuSim, HostMem, KernelKind, OutOfDeviceMemory, SimTime, Stream,
 };
 use gpu_spgemm::PreparedChunk;
 
@@ -28,27 +41,10 @@ const GROUPING_NS_PER_ROW: u64 = 2;
 /// Host-side per-row cost of the allocation prefix sum, ns.
 const PREFIX_NS_PER_ROW: u64 = 1;
 
-struct PendingOutput {
-    stream: Stream,
-    chunk_id: usize,
-    first_bytes: u64,
-    second_bytes: u64,
-}
-
 /// Checks the caller-reachable pipeline arguments, returning
 /// [`crate::OocError::Config`] instead of panicking: `depth` and
 /// `split_fraction` arrive straight from the CLI/config layer.
-fn validate_pipeline_args(
-    n_chunks: usize,
-    n_flags: usize,
-    split_fraction: f64,
-    depth: usize,
-) -> crate::Result<()> {
-    if n_chunks != n_flags {
-        return Err(crate::OocError::Config(format!(
-            "pipeline needs one transfer flag per chunk: {n_chunks} chunks, {n_flags} flags"
-        )));
-    }
+fn validate_pipeline_args(split_fraction: f64, depth: usize) -> crate::Result<()> {
     if depth < 2 {
         return Err(crate::OocError::Config(format!(
             "pipeline depth must be at least 2, got {depth}"
@@ -73,23 +69,31 @@ fn epoch_sizes(pool_bytes: u64, a_slot_bytes: u64, depth: usize) -> Vec<u64> {
     sizes
 }
 
-/// Runs the asynchronous pipeline over prepared chunks, in the given
-/// order. `transfer_a[i]` says whether chunk `i` must (re)copy its A
-/// panel. Returns the simulated completion time.
-pub fn simulate_pipeline(
-    sim: &mut GpuSim,
-    chunks: &[&PreparedChunk],
-    transfer_a: &[bool],
-    split_fraction: f64,
-    pinned: bool,
-) -> crate::Result<SimTime> {
-    simulate_pipeline_depth(sim, chunks, transfer_a, split_fraction, pinned, 2)
+fn align256(bytes: u64) -> u64 {
+    bytes.div_ceil(256) * 256
 }
 
-/// [`simulate_pipeline`] with a configurable number of stream/buffer
-/// epochs. Depth 2 is the paper's double buffering; deeper pipelines
-/// split the pool further (less room per chunk) in exchange for more
-/// in-flight chunks.
+/// The resident-A slot that holds every chunk's A panel: the largest
+/// 256-aligned A panel among `chunks`.
+pub(crate) fn a_slot_bytes<'c>(chunks: impl IntoIterator<Item = &'c PreparedChunk>) -> u64 {
+    chunks
+        .into_iter()
+        .map(|c| align256(c.a_bytes))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Runs the exact one-shot pass over prepared chunks, in the given
+/// order, and returns the simulated completion time. `transfer_a[i]`
+/// says whether chunk `i` (re)copies its A panel; the first chunk
+/// always does, since nothing is resident yet. `depth` is the number
+/// of stream/buffer epochs: 2 is the paper's double buffering, deeper
+/// pipelines split the pool further (less room per chunk) in exchange
+/// for more in-flight chunks.
+///
+/// A chunk that does not fit the pool geometry, or whose retries run
+/// out on a faulted simulator, is an error. The pool stays allocated,
+/// so the timeline ends with the last output transfer.
 pub fn simulate_pipeline_depth(
     sim: &mut GpuSim,
     chunks: &[&PreparedChunk],
@@ -98,355 +102,46 @@ pub fn simulate_pipeline_depth(
     pinned: bool,
     depth: usize,
 ) -> crate::Result<SimTime> {
-    validate_pipeline_args(chunks.len(), transfer_a.len(), split_fraction, depth)?;
+    if chunks.len() != transfer_a.len() {
+        return Err(crate::OocError::Config(format!(
+            "pipeline needs one transfer flag per chunk: {} chunks, {} flags",
+            chunks.len(),
+            transfer_a.len()
+        )));
+    }
+    validate_pipeline_args(split_fraction, depth)?;
     if chunks.is_empty() {
         return Ok(sim.now());
     }
-    // The A panel stays resident across consecutive chunks of the same
-    // row panel, so it lives in its own slot outside the rotating
-    // epochs (otherwise epoch recycling two chunks later would reclaim
-    // bytes the pipeline still reads).
-    let a_slot_bytes = chunks
+    // A chunk that copies its A panel starts a new resident row panel.
+    let mut row = 0;
+    let attempts: Vec<ChunkAttempt<'_>> = chunks
         .iter()
         .zip(transfer_a)
-        .filter(|&(_, &t)| t)
-        .map(|(c, _)| align256(c.a_bytes))
-        .max()
-        .unwrap_or(0);
-    let mut session = PipelineSession::new(sim, split_fraction, pinned, depth, a_slot_bytes)?;
-    for (chunk, &xfer_a) in chunks.iter().zip(transfer_a) {
-        session.push(chunk, xfer_a)?;
-    }
-    Ok(session.finish())
-}
-
-/// An incremental handle over the asynchronous pipeline: chunks are
-/// pushed one at a time instead of arriving as one pre-known batch.
-///
-/// This is the primitive underneath both the batch entry point
-/// ([`simulate_pipeline_depth`] is a thin loop over `push`) and the
-/// work-stealing scheduler, which needs the GPU's projected completion
-/// time *after each claim* to decide whether the next chunk goes to
-/// the pipeline or is stolen by the CPU. Pushing the same chunks with
-/// the same transfer flags and A-slot size reproduces the exact
-/// enqueue sequence of the old batch loop, so timings stay
-/// bit-identical.
-pub(crate) struct PipelineSession<'s> {
-    sim: &'s mut GpuSim,
-    mem: HostMem,
-    pinned: bool,
-    split_fraction: f64,
-    depth: usize,
-    streams: Vec<Stream>,
-    pools: Vec<MemoryPool>,
-    a_slot: MemoryPool,
-    prev: Option<PendingOutput>,
-    pushed: usize,
-    /// Running max of every enqueued operation's completion time.
-    last_done: SimTime,
-}
-
-impl<'s> PipelineSession<'s> {
-    /// Allocates the device pool and stream set. `a_slot_bytes` is the
-    /// caller's bound on the resident-A slot (the largest 256-aligned
-    /// A panel it will ever push with `transfer_a == true`).
-    pub(crate) fn new(
-        sim: &'s mut GpuSim,
-        split_fraction: f64,
-        pinned: bool,
-        depth: usize,
-        a_slot_bytes: u64,
-    ) -> crate::Result<Self> {
-        validate_pipeline_args(0, 0, split_fraction, depth)?;
-        let mem = if pinned {
-            HostMem::Pinned
-        } else {
-            HostMem::Pageable
-        };
-        // One up-front allocation covering the whole working set: "a
-        // large chunk of memory is pre-allocated on device memory and
-        // shared by all dynamic data structures".
-        let pool_bytes = sim.memory().free_bytes();
-        let _backing = sim.malloc(pool_bytes, "pre-allocated pool")?;
-        if a_slot_bytes > pool_bytes {
-            return Err(crate::OocError::DeviceMemory(gpu_sim::OutOfDeviceMemory {
-                requested: a_slot_bytes,
-                free: pool_bytes,
-                capacity: sim.memory().capacity(),
-            }));
-        }
-        let a_slot = MemoryPool::new(a_slot_bytes);
-        let pools: Vec<MemoryPool> = epoch_sizes(pool_bytes, a_slot_bytes, depth)
-            .into_iter()
-            .map(MemoryPool::new)
-            .collect();
-        let streams: Vec<Stream> = (0..depth).map(|_| sim.create_stream()).collect();
-        Ok(PipelineSession {
-            sim,
-            mem,
-            pinned,
-            split_fraction,
-            depth,
-            streams,
-            pools,
-            a_slot,
-            prev: None,
-            pushed: 0,
-            last_done: 0,
+        .map(|(&chunk, &xfer_a)| {
+            row += usize::from(xfer_a);
+            ChunkAttempt { chunk, row }
         })
+        .collect();
+    let a_slot = a_slot_bytes(chunks.iter().copied());
+    let policy = RecoveryPolicy::default();
+    let mut session =
+        PipelineSession::new(sim, split_fraction, pinned, depth, a_slot, policy, false)?;
+    for att in &attempts {
+        session
+            .push(att)
+            .map_err(|f| f.into_error(&att.chunk.chunk_id.to_string()))?;
     }
-
-    /// Simulated time at which the pipeline would finish if no more
-    /// chunks were pushed: the last enqueued operation's completion
-    /// plus the drain of the still-undrained previous output. This is
-    /// the GPU worker's "clock" in the work-stealing claim loop.
-    pub(crate) fn projected_finish(&self) -> SimTime {
-        let pending = match &self.prev {
-            Some(p) => {
-                self.sim
-                    .cost()
-                    .copy_duration(p.first_bytes, true, self.pinned)
-                    + self
-                        .sim
-                        .cost()
-                        .copy_duration(p.second_bytes, true, self.pinned)
-            }
-            None => 0,
-        };
-        self.last_done + pending
+    session.finish();
+    if let Some(&(i, f)) = session.failed.first() {
+        return Err(f.into_error(&attempts[i].chunk.chunk_id.to_string()));
     }
-
-    /// Feeds one chunk through the Figure 6 schedule. `xfer_a` says
-    /// whether the chunk must (re)copy its A panel. An `Err` means the
-    /// chunk's working set does not fit the pool geometry — the
-    /// session stays usable, the chunk was not enqueued.
-    pub(crate) fn push(&mut self, chunk: &PreparedChunk, xfer_a: bool) -> crate::Result<()> {
-        let i = self.pushed;
-        let s = self.streams[i % self.depth];
-        let pool = &mut self.pools[i % self.depth];
-        let id = chunk.chunk_id;
-
-        // Recycle this parity's pool epoch (safe by stream FIFO; see
-        // module docs) and take offsets for every per-chunk structure.
-        // Reserve everything before enqueuing anything so a failed
-        // bump leaves the simulated device untouched.
-        let pool_before = pool.used();
-        pool.reset();
-        if xfer_a {
-            self.a_slot.reset();
-            if let Err(e) = self.a_slot.bump(chunk.a_bytes) {
-                pool.bump(pool_before).ok();
-                return Err(e.into());
-            }
-        }
-        // Feasibility is gated on the *exact* chunk geometry even for
-        // speculative chunks: distribution reasons from actual sizes
-        // (an inflated estimate must not close the GPU to a chunk the
-        // recovering executor would happily re-split and run), and the
-        // exact footprint is what any re-split piece is bounded by.
-        // Timing below still prices the speculative schedule that
-        // actually executes.
-        let mut reserve = || -> Result<(), gpu_sim::OutOfDeviceMemory> {
-            pool.bump(chunk.b_bytes)?;
-            pool.bump(chunk.row_info_bytes)?;
-            pool.bump(chunk.row_nnz_bytes)?;
-            pool.bump(chunk.out_bytes)?;
-            Ok(())
-        };
-        if let Err(e) = reserve() {
-            pool.reset();
-            pool.bump(pool_before).ok();
-            return Err(e.into());
-        }
-        self.pushed += 1;
-
-        // Input panels.
-        if xfer_a {
-            let t = self.sim.enqueue_copy(
-                s,
-                CopyDir::H2D,
-                chunk.a_bytes,
-                self.mem,
-                format!("H2D A (chunk {id})"),
-            );
-            self.last_done = self.last_done.max(t);
-        }
-        let t = self.sim.enqueue_copy(
-            s,
-            CopyDir::H2D,
-            chunk.b_bytes,
-            self.mem,
-            format!("H2D B (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(t);
-
-        // Stage 1: row analysis; its D2H result goes ahead of the
-        // previous chunk's bulk output (Figure 6 transfer order).
-        let t = self.sim.enqueue_kernel(
-            s,
-            KernelKind::RowAnalysis { ops: chunk.a_nnz },
-            format!("row analysis (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(t);
-        let t = self.sim.enqueue_copy(
-            s,
-            CopyDir::D2H,
-            chunk.row_info_bytes,
-            self.mem,
-            format!("D2H row info (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(t);
-        let row_info_done = self.sim.record_event(s);
-
-        // Previous chunk, first portion: overlaps this chunk's
-        // symbolic phase.
-        if let Some(p) = &self.prev {
-            let t = self.sim.enqueue_copy(
-                p.stream,
-                CopyDir::D2H,
-                p.first_bytes,
-                self.mem,
-                format!("D2H output 1/2 (chunk {})", p.chunk_id),
-            );
-            self.last_done = self.last_done.max(t);
-        }
-
-        // Host grouping needs the row-analysis results — "we give up
-        // concurrency opportunities during the row analysis stage".
-        self.sim.event_synchronize(row_info_done);
-        self.sim.host_compute(
-            chunk.rows as u64 * GROUPING_NS_PER_ROW,
-            format!("host grouping (chunk {id})"),
-        );
-        self.last_done = self.last_done.max(self.sim.now());
-
-        if let Some(spec) = &chunk.spec {
-            // Speculative schedule (mirrors the recovering executor's
-            // branch): the output buffer was sized from the estimation
-            // model at planning time, so the symbolic kernels, the
-            // row-nnz D2H, and the host prefix sum all disappear —
-            // numeric kernels launch straight after grouping. Overflow
-            // is not modeled here; the fault-free session is a pricing
-            // model for the scheduler, and speculative execution itself
-            // always runs under the recovering orchestration.
-            if let Some(p) = self.prev.take() {
-                let t = self.sim.enqueue_copy(
-                    p.stream,
-                    CopyDir::D2H,
-                    p.second_bytes,
-                    self.mem,
-                    format!("D2H output 2/2 (chunk {})", p.chunk_id),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-            for (g, &flops) in spec.est_group_flops.iter().enumerate() {
-                let t = self.sim.enqueue_kernel(
-                    s,
-                    KernelKind::Numeric {
-                        flops,
-                        compression_ratio: chunk.compression_ratio,
-                    },
-                    format!("numeric g{g} (chunk {id}, speculative)"),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-        } else {
-            // Stage 2: symbolic kernels per row group.
-            for (g, &flops) in chunk.groups.group_flops.iter().enumerate() {
-                let t = self.sim.enqueue_kernel(
-                    s,
-                    KernelKind::Symbolic {
-                        flops,
-                        compression_ratio: chunk.compression_ratio,
-                    },
-                    format!("symbolic g{g} (chunk {id})"),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-            let t = self.sim.enqueue_copy(
-                s,
-                CopyDir::D2H,
-                chunk.row_nnz_bytes,
-                self.mem,
-                format!("D2H row nnz (chunk {id})"),
-            );
-            self.last_done = self.last_done.max(t);
-            let row_nnz_done = self.sim.record_event(s);
-
-            // Previous chunk, second portion: overlaps this chunk's
-            // numeric phase.
-            if let Some(p) = self.prev.take() {
-                let t = self.sim.enqueue_copy(
-                    p.stream,
-                    CopyDir::D2H,
-                    p.second_bytes,
-                    self.mem,
-                    format!("D2H output 2/2 (chunk {})", p.chunk_id),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-
-            // Host sizes the output from the symbolic results; the space
-            // was already bumped from the pool — no device barrier.
-            self.sim.event_synchronize(row_nnz_done);
-            self.sim.host_compute(
-                chunk.rows as u64 * PREFIX_NS_PER_ROW,
-                format!("host prefix sum (chunk {id})"),
-            );
-            self.last_done = self.last_done.max(self.sim.now());
-
-            // Stage 3: numeric kernels per output-size row group.
-            for (g, &flops) in chunk.numeric_groups.group_flops.iter().enumerate() {
-                let t = self.sim.enqueue_kernel(
-                    s,
-                    KernelKind::Numeric {
-                        flops,
-                        compression_ratio: chunk.compression_ratio,
-                    },
-                    format!("numeric g{g} (chunk {id})"),
-                );
-                self.last_done = self.last_done.max(t);
-            }
-        }
-
-        let (first_bytes, second_bytes) = chunk.split_output_bytes(self.split_fraction);
-        self.prev = Some(PendingOutput {
-            stream: s,
-            chunk_id: id,
-            first_bytes,
-            second_bytes,
-        });
-        Ok(())
-    }
-
-    /// Drains the last chunk's output, records the pool high-water mark
-    /// and returns the simulated completion time.
-    pub(crate) fn finish(mut self) -> SimTime {
-        if let Some(p) = self.prev.take() {
-            self.sim.enqueue_copy(
-                p.stream,
-                CopyDir::D2H,
-                p.first_bytes,
-                self.mem,
-                format!("D2H output 1/2 (chunk {})", p.chunk_id),
-            );
-            self.sim.enqueue_copy(
-                p.stream,
-                CopyDir::D2H,
-                p.second_bytes,
-                self.mem,
-                format!("D2H output 2/2 (chunk {})", p.chunk_id),
-            );
-        }
-        let pool_used: u64 =
-            self.a_slot.high_water() + self.pools.iter().map(|p| p.high_water()).sum::<u64>();
-        self.sim.note_pool_high_water(pool_used);
-        self.sim.finish()
-    }
+    Ok(sim.finish())
 }
 
-/// One unit of work for the recovering pipeline: a prepared chunk plus
-/// the row-panel identity used for A-panel residency tracking.
+/// One unit of work for the pipeline: a prepared chunk plus the row
+/// panel its A view belongs to. The A panel stays resident while
+/// consecutive chunks share a row panel.
 pub(crate) struct ChunkAttempt<'a> {
     /// The prepared chunk (descriptors + host-side result).
     pub chunk: &'a PreparedChunk,
@@ -454,7 +149,7 @@ pub(crate) struct ChunkAttempt<'a> {
     pub row: usize,
 }
 
-/// Why a chunk could not complete on the device this pass.
+/// Why a chunk could not complete on the device.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ChunkFailure {
     /// The chunk's working set does not fit the pool (re-splittable).
@@ -474,549 +169,507 @@ pub(crate) enum ChunkFailure {
     Deadline,
 }
 
-/// Result of one recovering pipeline pass. Pass completion time is the
-/// simulator's own clock (time accumulates across passes on one
-/// persistent simulator).
-pub(crate) struct RecoveringOutcome {
-    /// Chunks (by input index) that did not complete, with the reason.
-    pub failed: Vec<(usize, ChunkFailure)>,
-}
-
-fn align256(bytes: u64) -> u64 {
-    bytes.div_ceil(256) * 256
-}
-
-/// Retries a fallible kernel launch up to `policy.max_retries` times
-/// with deterministic simulated backoff. `Err(())` means the retry
-/// budget is exhausted (the caller abandons the chunk).
-fn retry_kernel(
-    sim: &mut GpuSim,
-    stream: Stream,
-    kind: KernelKind,
-    label: &str,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-) -> Result<SimTime, ()> {
-    let mut attempt = 0u32;
-    loop {
-        match sim.try_enqueue_kernel(stream, kind, label) {
-            Ok(t) => return Ok(t),
-            Err(f) => {
-                report.kernel_faults += 1;
-                report.time_lost_ns += f.lost_ns;
-                if attempt >= policy.max_retries {
-                    sim.note_recovery(format!(
-                        "abandon after {} kernel faults: {label}",
-                        attempt + 1
-                    ));
-                    return Err(());
-                }
-                attempt += 1;
-                report.retries += 1;
-                let wait = backoff_ns(sim.cost(), attempt);
-                report.backoff_ns += wait;
-                report.time_lost_ns += wait;
-                sim.note_recovery(format!("retry {attempt}: {label}"));
-                sim.host_compute(wait, format!("backoff {attempt}: {label}"));
+impl ChunkFailure {
+    /// The error a run reports when it cannot recover `chunk` from
+    /// this failure.
+    pub(crate) fn into_error(self, chunk: &str) -> crate::OocError {
+        match self {
+            ChunkFailure::Oom(e) => crate::OocError::DeviceMemory(e),
+            ChunkFailure::Faults => crate::OocError::Worker {
+                worker: "gpu".into(),
+                message: format!("chunk {chunk} exhausted its retry budget"),
+            },
+            ChunkFailure::EstimateOverflow { needed } => crate::OocError::Planning(format!(
+                "chunk {chunk} outgrew its estimated output allocation ({needed} bytes needed)"
+            )),
+            ChunkFailure::Deadline => {
+                unreachable!("deadline failures are re-queued for supervision")
             }
         }
     }
 }
 
-/// One transfer as submitted to [`retry_copy`].
-#[derive(Clone, Copy)]
-struct CopyOp {
-    dir: CopyDir,
-    bytes: u64,
-    mem: HostMem,
-}
-
-/// [`retry_kernel`] for copies.
-fn retry_copy(
+/// Runs one pass of the self-healing executor over `attempts` and
+/// returns the chunks (by index) that did not complete, with the
+/// reason. Time accumulates on `sim`, which persists across passes.
+///
+/// * A chunk whose working set does not fit (e.g. after a capacity
+///   shrink) is skipped as [`ChunkFailure::Oom`], so the caller can
+///   re-split it instead of aborting the run.
+/// * A chunk whose retry budget runs out fails as
+///   [`ChunkFailure::Faults`], so the caller can demote it to the CPU.
+/// * A speculative chunk whose real output outgrew its estimate fails
+///   as [`ChunkFailure::EstimateOverflow`], so the caller can grow the
+///   allocation and retry.
+/// * Past `deadline_demote_ns` every remaining chunk fails as
+///   [`ChunkFailure::Deadline`].
+///
+/// The pool is released at the end, so a follow-up pass (after
+/// re-splitting) sizes its own pool against the then-current device
+/// capacity. That `free` barrier is the only difference from the exact
+/// one-shot pass over the same chunks.
+pub(crate) fn recovering_pass(
     sim: &mut GpuSim,
-    stream: Stream,
-    op: CopyOp,
-    label: &str,
-    policy: &RecoveryPolicy,
+    attempts: &[ChunkAttempt<'_>],
+    config: &crate::OocConfig,
     report: &mut RecoveryReport,
-) -> Result<SimTime, ()> {
-    let mut attempt = 0u32;
-    loop {
-        match sim.try_enqueue_copy(stream, op.dir, op.bytes, op.mem, label) {
-            Ok(t) => return Ok(t),
-            Err(f) => {
-                report.copy_faults += 1;
-                report.time_lost_ns += f.lost_ns;
-                if attempt >= policy.max_retries {
-                    sim.note_recovery(format!(
-                        "abandon after {} copy faults: {label}",
-                        attempt + 1
-                    ));
-                    return Err(());
-                }
-                attempt += 1;
-                report.retries += 1;
-                let wait = backoff_ns(sim.cost(), attempt);
-                report.backoff_ns += wait;
-                report.time_lost_ns += wait;
-                sim.note_recovery(format!("retry {attempt}: {label}"));
-                sim.host_compute(wait, format!("backoff {attempt}: {label}"));
-            }
+    deadline_demote_ns: Option<SimTime>,
+) -> crate::Result<Vec<(usize, ChunkFailure)>> {
+    validate_pipeline_args(config.split_fraction, config.pipeline_depth)?;
+    if attempts.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut session = PipelineSession::new(
+        sim,
+        config.split_fraction,
+        config.pinned,
+        config.pipeline_depth,
+        a_slot_bytes(attempts.iter().map(|a| a.chunk)),
+        config.recovery,
+        false,
+    )?;
+    let mut failed = Vec::new();
+    for (i, att) in attempts.iter().enumerate() {
+        // Deadline admission: past the budget's demotion point a chunk
+        // fails fast (the supervisor demotes it to the CPU, whose time
+        // is exactly predictable) instead of sinking device time. The
+        // host clock never moves backwards, so once this fires no later
+        // chunk is pushed, and push order keeps matching `i`.
+        if deadline_demote_ns.is_some_and(|d| session.sim.now() >= d) {
+            session.sim.note_recovery(format!(
+                "skip chunk {}: past deadline demotion point",
+                att.chunk.chunk_id
+            ));
+            failed.push((i, ChunkFailure::Deadline));
+            continue;
+        }
+        if let Err(f) = session.push(att) {
+            failed.push((i, f));
         }
     }
+    session.finish();
+    failed.append(&mut session.failed);
+    report.merge(&session.report);
+    let pool = session.pool;
+    sim.free(pool, "pre-allocated pool");
+    // Synchronize so the pass's completion is visible on `sim.now()`.
+    sim.finish();
+    Ok(failed)
 }
 
-struct RecoveringPending {
+/// A chunk's output, still on the device until its two portions have
+/// been copied back.
+struct PendingOutput {
     stream: Stream,
     chunk_id: usize,
+    /// Push index of the chunk.
     index: usize,
     first_bytes: u64,
     second_bytes: u64,
     first_issued: bool,
 }
 
-/// Issues the first output portion of `prev` if still pending. On
-/// permanent transfer failure the previous chunk is marked failed.
-fn flush_prev_first(
-    sim: &mut GpuSim,
-    prev: &mut Option<RecoveringPending>,
-    mem: HostMem,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    failed: &mut Vec<(usize, ChunkFailure)>,
-) {
-    if let Some(p) = prev {
-        if !p.first_issued {
-            let label = format!("D2H output 1/2 (chunk {})", p.chunk_id);
-            match retry_copy(
-                sim,
-                p.stream,
-                CopyOp {
-                    dir: CopyDir::D2H,
-                    bytes: p.first_bytes,
-                    mem,
-                },
-                &label,
-                policy,
-                report,
-            ) {
-                Ok(_) => p.first_issued = true,
-                Err(()) => {
-                    failed.push((p.index, ChunkFailure::Faults));
-                    *prev = None;
-                }
-            }
-        }
-    }
+/// One device operation issued with retries.
+#[derive(Clone, Copy)]
+enum DeviceOp {
+    Kernel(KernelKind),
+    Copy(CopyDir, u64),
 }
 
-/// Issues the remaining output portions of `prev` (both, if the first
-/// never made it out) and clears it. On permanent transfer failure the
-/// previous chunk is marked failed.
-fn flush_prev_rest(
-    sim: &mut GpuSim,
-    prev: &mut Option<RecoveringPending>,
+/// The Figure 6 schedule over a pre-allocated pool, fed one chunk at a
+/// time. Pushing the same chunks in the same order reproduces the same
+/// enqueue sequence whichever caller pushes them (see module docs).
+pub(crate) struct PipelineSession<'s> {
+    sim: &'s mut GpuSim,
+    policy: RecoveryPolicy,
+    report: RecoveryReport,
     mem: HostMem,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    failed: &mut Vec<(usize, ChunkFailure)>,
-) {
-    flush_prev_first(sim, prev, mem, policy, report, failed);
-    if let Some(p) = prev.take() {
-        let label = format!("D2H output 2/2 (chunk {})", p.chunk_id);
-        if retry_copy(
-            sim,
-            p.stream,
-            CopyOp {
-                dir: CopyDir::D2H,
-                bytes: p.second_bytes,
-                mem,
-            },
-            &label,
-            policy,
-            report,
-        )
-        .is_err()
-        {
-            failed.push((p.index, ChunkFailure::Faults));
-        }
-    }
-}
-
-/// The self-healing variant of [`simulate_pipeline_depth`], used when a
-/// fault plan is installed. Differences from the fault-free path:
-///
-/// * every submission goes through the simulator's fallible `try_*`
-///   API and is retried with deterministic simulated backoff;
-/// * each chunk's pool reservation is checked up front — a chunk whose
-///   working set does not fit (e.g. after a capacity shrink) is
-///   *skipped* and reported as [`ChunkFailure::Oom`] so the caller can
-///   re-split it, instead of aborting the run;
-/// * a chunk whose retry budget is exhausted is reported as
-///   [`ChunkFailure::Faults`] so the caller can demote it to the CPU;
-/// * speculative chunks (`chunk.spec.is_some()`) follow the estimated
-///   schedule: they reserve the model-sized output and no row-nnz
-///   array, skip the symbolic kernels / row-nnz D2H / host prefix sum,
-///   and launch numeric kernels straight after grouping. A chunk whose
-///   real output outgrew the estimate is reported as
-///   [`ChunkFailure::EstimateOverflow`] so the caller can grow the
-///   allocation and retry;
-/// * A-panel residency is tracked dynamically (a skipped chunk must
-///   not leave a stale "A is resident" assumption behind).
-///
-/// The simulated timing of a fault-free plan differs slightly from
-/// [`simulate_pipeline_depth`] (conservative A-slot sizing); results
-/// never do — numeric results are host-side and untouched by faults.
-#[allow(clippy::too_many_arguments)] // one call site; bundling these into a struct adds no clarity
-pub(crate) fn simulate_pipeline_recovering(
-    sim: &mut GpuSim,
-    attempts: &[ChunkAttempt<'_>],
     split_fraction: f64,
-    pinned: bool,
-    depth: usize,
-    policy: &RecoveryPolicy,
-    report: &mut RecoveryReport,
-    deadline_demote_ns: Option<SimTime>,
-) -> crate::Result<RecoveringOutcome> {
-    validate_pipeline_args(attempts.len(), attempts.len(), split_fraction, depth)?;
-    let mut failed: Vec<(usize, ChunkFailure)> = Vec::new();
-    if attempts.is_empty() {
-        return Ok(RecoveringOutcome { failed });
-    }
-    let mem = if pinned {
-        HostMem::Pinned
-    } else {
-        HostMem::Pageable
-    };
+    streams: Vec<Stream>,
+    /// The pre-allocated pool (the recovering pass releases it).
+    pool: DeviceAlloc,
+    a_slot_bytes: u64,
+    /// Chunks rotate over the epochs, so admission is checked against
+    /// the smallest one (epoch 0 also holds the split remainder).
+    epoch_bytes: u64,
+    /// Admit and run speculative chunks by their exact footprint and
+    /// ignore estimate overflow. The claim auction prices this way:
+    /// the executor grows or re-splits such a chunk and runs it, so an
+    /// inflated or short estimate must not close the GPU to it.
+    exact_sizes: bool,
+    /// The A slot plus the largest chunk reservation admitted so far.
+    high_water: u64,
+    a_resident: Option<usize>,
+    prev: Option<PendingOutput>,
+    pushed: usize,
+    /// Chunks (by push index) whose output transfer failed after their
+    /// push had returned.
+    failed: Vec<(usize, ChunkFailure)>,
+    /// Running max of every enqueued operation's completion time.
+    last_done: SimTime,
+}
 
-    // Pool allocation, retried on injected malloc faults. The request
-    // is recomputed each attempt so a capacity shrink landing on this
-    // very malloc is absorbed rather than fatal.
-    let mut attempt = 0u32;
-    let (pool, pool_bytes) = loop {
-        let want = sim.memory().free_bytes();
-        match sim.malloc(want, "pre-allocated pool") {
-            Ok(h) => break (h, want),
-            Err(e) => {
-                report.alloc_faults += 1;
-                if attempt >= policy.max_retries {
-                    return Err(crate::OocError::DeviceMemory(e));
-                }
-                attempt += 1;
-                report.retries += 1;
-                let wait = backoff_ns(sim.cost(), attempt);
-                report.backoff_ns += wait;
-                report.time_lost_ns += wait;
-                sim.note_recovery(format!("retry {attempt}: pre-allocated pool"));
-                sim.host_compute(wait, "backoff: pre-allocated pool");
-            }
-        }
-    };
-
-    // Conservative A-slot: residency is dynamic here, so size for the
-    // largest A panel in the batch (clamped — an oversized A panel
-    // fails its own chunks, not the whole pass).
-    let a_slot_bytes = attempts
-        .iter()
-        .map(|a| align256(a.chunk.a_bytes))
-        .max()
-        .unwrap_or(0)
-        .min(pool_bytes);
-    // Chunks rotate over epochs, so admission is checked against the
-    // smallest epoch (epoch 0 additionally holds the split remainder).
-    let epoch_bytes = *epoch_sizes(pool_bytes, a_slot_bytes, depth)
-        .last()
-        .expect("depth >= 2");
-    let mut pool_high_water: u64 = 0;
-
-    let streams: Vec<Stream> = (0..depth).map(|_| sim.create_stream()).collect();
-    let mut prev: Option<RecoveringPending> = None;
-    let mut a_resident: Option<usize> = None;
-
-    for (i, att) in attempts.iter().enumerate() {
-        let chunk = att.chunk;
-        let s = streams[i % depth];
-        let id = chunk.chunk_id;
-
-        // Deadline admission: past the budget's demotion point a chunk
-        // fails fast (the supervisor demotes it to the CPU, whose time
-        // is exactly predictable) instead of sinking device time.
-        if deadline_demote_ns.is_some_and(|d| sim.now() >= d) {
-            sim.note_recovery(format!("skip chunk {id}: past deadline demotion point"));
-            failed.push((i, ChunkFailure::Deadline));
-            continue;
-        }
-
-        // Hard capacity check against the current pool geometry.
-        // Speculative chunks reserve their *estimated* output and no
-        // symbolic row-nnz array (that phase is skipped entirely).
-        let a_need = align256(chunk.a_bytes);
-        let row_nnz_need = if chunk.spec.is_some() {
-            0
-        } else {
-            align256(chunk.row_nnz_bytes)
-        };
-        let chunk_need = align256(chunk.b_bytes)
-            + align256(chunk.row_info_bytes)
-            + row_nnz_need
-            + align256(chunk.planned_out_bytes());
-        if a_need > a_slot_bytes || chunk_need > epoch_bytes {
-            sim.note_recovery(format!(
-                "skip chunk {id}: needs {} + {a_need} A bytes, epoch holds {epoch_bytes}",
-                chunk_need
-            ));
-            failed.push((
-                i,
-                ChunkFailure::Oom(OutOfDeviceMemory {
-                    requested: chunk_need.max(a_need),
-                    free: epoch_bytes,
-                    capacity: sim.memory().capacity(),
-                }),
-            ));
-            continue;
-        }
-
-        // Transient pool-reservation faults: retry, then give the
-        // chunk up to demotion.
-        let mut reserved = false;
+impl<'s> PipelineSession<'s> {
+    /// Allocates the device pool (retrying injected `malloc` faults)
+    /// and the stream set. `a_slot_bytes` bounds the resident-A slot
+    /// (see [`a_slot_bytes`]); it is clamped to the pool, so an
+    /// oversized A panel fails its own chunks, not the session.
+    /// `exact_sizes` is the auction's pricing rule (see the field).
+    pub(crate) fn new(
+        sim: &'s mut GpuSim,
+        split_fraction: f64,
+        pinned: bool,
+        depth: usize,
+        a_slot_bytes: u64,
+        policy: RecoveryPolicy,
+        exact_sizes: bool,
+    ) -> crate::Result<Self> {
+        let mut report = RecoveryReport::default();
+        // One up-front allocation covering the whole working set: "a
+        // large chunk of memory is pre-allocated on device memory and
+        // shared by all dynamic data structures". The request is
+        // recomputed each attempt so a capacity shrink landing on this
+        // very malloc is absorbed rather than fatal.
         let mut attempt = 0u32;
-        while !reserved {
-            match sim.check_pool_reserve(chunk_need, format!("pool reserve (chunk {id})")) {
-                Ok(()) => reserved = true,
-                Err(_) => {
-                    report.pool_faults += 1;
+        let (pool, pool_bytes) = loop {
+            let want = sim.memory().free_bytes();
+            match sim.malloc(want, "pre-allocated pool") {
+                Ok(h) => break (h, want),
+                Err(e) => {
+                    report.alloc_faults += 1;
                     if attempt >= policy.max_retries {
-                        break;
+                        return Err(crate::OocError::DeviceMemory(e));
                     }
                     attempt += 1;
-                    report.retries += 1;
-                    let wait = backoff_ns(sim.cost(), attempt);
-                    report.backoff_ns += wait;
-                    report.time_lost_ns += wait;
-                    sim.note_recovery(format!("retry {attempt}: pool reserve (chunk {id})"));
-                    sim.host_compute(wait, format!("backoff: pool reserve (chunk {id})"));
+                    backoff(sim, &mut report, attempt, "pre-allocated pool");
                 }
             }
-        }
-        if !reserved {
-            failed.push((i, ChunkFailure::Faults));
-            continue;
-        }
-        pool_high_water = pool_high_water.max(a_slot_bytes + chunk_need);
-
-        let xfer_a = a_resident != Some(att.row);
-        let failure: Option<ChunkFailure> = 'chunk: {
-            if xfer_a {
-                let label = format!("H2D A (chunk {id})");
-                if retry_copy(
-                    sim,
-                    s,
-                    CopyOp {
-                        dir: CopyDir::H2D,
-                        bytes: chunk.a_bytes,
-                        mem,
-                    },
-                    &label,
-                    policy,
-                    report,
-                )
-                .is_err()
-                {
-                    a_resident = None;
-                    break 'chunk Some(ChunkFailure::Faults);
-                }
-                a_resident = Some(att.row);
-            }
-            let label = format!("H2D B (chunk {id})");
-            if retry_copy(
-                sim,
-                s,
-                CopyOp {
-                    dir: CopyDir::H2D,
-                    bytes: chunk.b_bytes,
-                    mem,
-                },
-                &label,
-                policy,
-                report,
-            )
-            .is_err()
-            {
-                break 'chunk Some(ChunkFailure::Faults);
-            }
-
-            let label = format!("row analysis (chunk {id})");
-            if retry_kernel(
-                sim,
-                s,
-                KernelKind::RowAnalysis { ops: chunk.a_nnz },
-                &label,
-                policy,
-                report,
-            )
-            .is_err()
-            {
-                break 'chunk Some(ChunkFailure::Faults);
-            }
-            let label = format!("D2H row info (chunk {id})");
-            if retry_copy(
-                sim,
-                s,
-                CopyOp {
-                    dir: CopyDir::D2H,
-                    bytes: chunk.row_info_bytes,
-                    mem,
-                },
-                &label,
-                policy,
-                report,
-            )
-            .is_err()
-            {
-                break 'chunk Some(ChunkFailure::Faults);
-            }
-            let row_info_done = sim.record_event(s);
-
-            flush_prev_first(sim, &mut prev, mem, policy, report, &mut failed);
-
-            sim.event_synchronize(row_info_done);
-            sim.host_compute(
-                chunk.rows as u64 * GROUPING_NS_PER_ROW,
-                format!("host grouping (chunk {id})"),
-            );
-
-            if let Some(spec) = &chunk.spec {
-                // Speculative schedule: the output buffer was sized
-                // from the estimation model at planning time, so the
-                // symbolic kernels, the row-nnz D2H, and the host
-                // prefix sum all disappear — numeric kernels launch
-                // straight after grouping, into the estimated
-                // allocation.
-                flush_prev_rest(sim, &mut prev, mem, policy, report, &mut failed);
-
-                for (g, &flops) in spec.est_group_flops.iter().enumerate() {
-                    let label = format!("numeric g{g} (chunk {id}, speculative)");
-                    if retry_kernel(
-                        sim,
-                        s,
-                        KernelKind::Numeric {
-                            flops,
-                            compression_ratio: chunk.compression_ratio,
-                        },
-                        &label,
-                        policy,
-                        report,
-                    )
-                    .is_err()
-                    {
-                        break 'chunk Some(ChunkFailure::Faults);
-                    }
-                }
-                // The kernels' bounds check fires only now — the work
-                // above is charged (and lost) exactly as on real
-                // hardware, where overflow is detected in flight.
-                if spec.overflowed(chunk.out_bytes) {
-                    report.estimate_overflows += 1;
-                    sim.note_recovery(format!(
-                        "estimate overflow chunk {id}: allocated {} bytes, needs {}",
-                        spec.est_out_bytes, chunk.out_bytes
-                    ));
-                    break 'chunk Some(ChunkFailure::EstimateOverflow {
-                        needed: chunk.out_bytes,
-                    });
-                }
+        };
+        let a_slot_bytes = a_slot_bytes.min(pool_bytes);
+        let epoch_bytes = *epoch_sizes(pool_bytes, a_slot_bytes, depth)
+            .last()
+            .expect("depth >= 1");
+        let streams: Vec<Stream> = (0..depth).map(|_| sim.create_stream()).collect();
+        Ok(PipelineSession {
+            sim,
+            policy,
+            report,
+            mem: if pinned {
+                HostMem::Pinned
             } else {
+                HostMem::Pageable
+            },
+            split_fraction,
+            streams,
+            pool,
+            a_slot_bytes,
+            epoch_bytes,
+            exact_sizes,
+            high_water: 0,
+            a_resident: None,
+            prev: None,
+            pushed: 0,
+            failed: Vec::new(),
+            last_done: 0,
+        })
+    }
+
+    /// Simulated time at which the pipeline would finish if no more
+    /// chunks were pushed: the last enqueued operation's completion
+    /// plus the drain of the still-pending previous output. This is
+    /// the GPU worker's "clock" in the work-stealing claim loop.
+    pub(crate) fn projected_finish(&self) -> SimTime {
+        let pinned = self.mem == HostMem::Pinned;
+        let copy = |bytes| self.sim.cost().copy_duration(bytes, true, pinned);
+        let pending = self.prev.as_ref().map_or(0, |p| {
+            let first = if p.first_issued {
+                0
+            } else {
+                copy(p.first_bytes)
+            };
+            first + copy(p.second_bytes)
+        });
+        self.last_done + pending
+    }
+
+    /// Feeds one chunk through the Figure 6 schedule. An `Err` means
+    /// the chunk did not complete: it did not fit the pool geometry
+    /// (nothing was enqueued), a stage ran out of retries, or a
+    /// speculative chunk overflowed its estimate. The session stays
+    /// usable either way.
+    pub(crate) fn push(&mut self, att: &ChunkAttempt<'_>) -> Result<(), ChunkFailure> {
+        let chunk = att.chunk;
+        let index = self.pushed;
+        self.pushed += 1;
+        let stream = self.streams[index % self.streams.len()];
+        let id = chunk.chunk_id;
+
+        // Hard capacity check against the pool geometry. Speculative
+        // chunks reserve their *estimated* output and no symbolic
+        // row-nnz array (that phase is skipped entirely) — unless the
+        // session prices for the auction (see `exact_sizes`).
+        let a_need = align256(chunk.a_bytes);
+        let (row_nnz, out) = match &chunk.spec {
+            Some(spec) if !self.exact_sizes => (0, spec.est_out_bytes),
+            _ => (chunk.row_nnz_bytes, chunk.out_bytes),
+        };
+        let need = align256(chunk.b_bytes)
+            + align256(chunk.row_info_bytes)
+            + align256(row_nnz)
+            + align256(out);
+        if a_need > self.a_slot_bytes || need > self.epoch_bytes {
+            let free = self.epoch_bytes;
+            self.sim.note_recovery(format!(
+                "skip chunk {id}: needs {need} + {a_need} A bytes, epoch holds {free}"
+            ));
+            return Err(ChunkFailure::Oom(OutOfDeviceMemory {
+                requested: need.max(a_need),
+                free,
+                capacity: self.sim.memory().capacity(),
+            }));
+        }
+        // Transient pool-reservation faults: retry, then give the
+        // chunk up to demotion.
+        let what = || format!("pool reserve (chunk {id})");
+        let mut attempt = 0u32;
+        while self.sim.check_pool_reserve(need, what()).is_err() {
+            self.report.pool_faults += 1;
+            if attempt >= self.policy.max_retries {
+                return Err(ChunkFailure::Faults);
+            }
+            attempt += 1;
+            backoff(self.sim, &mut self.report, attempt, &what());
+        }
+        self.high_water = self.high_water.max(self.a_slot_bytes + need);
+
+        self.schedule(att, stream)?;
+        let (first_bytes, second_bytes) = chunk.split_output_bytes(self.split_fraction);
+        self.prev = Some(PendingOutput {
+            stream,
+            chunk_id: id,
+            index,
+            first_bytes,
+            second_bytes,
+            first_issued: false,
+        });
+        Ok(())
+    }
+
+    /// Issues one admitted chunk's stages on `s`.
+    fn schedule(&mut self, att: &ChunkAttempt<'_>, s: Stream) -> Result<(), ChunkFailure> {
+        let chunk = att.chunk;
+        let id = chunk.chunk_id;
+        let cr = chunk.compression_ratio;
+
+        // Input panels. A faulted A copy leaves nothing resident.
+        if self.a_resident != Some(att.row) {
+            self.a_resident = None;
+            let op = DeviceOp::Copy(CopyDir::H2D, chunk.a_bytes);
+            self.issue(s, op, format!("H2D A (chunk {id})"))?;
+            self.a_resident = Some(att.row);
+        }
+        let op = DeviceOp::Copy(CopyDir::H2D, chunk.b_bytes);
+        self.issue(s, op, format!("H2D B (chunk {id})"))?;
+
+        // Stage 1: row analysis; its D2H result goes ahead of the
+        // previous chunk's bulk output (Figure 6 transfer order).
+        let op = DeviceOp::Kernel(KernelKind::RowAnalysis { ops: chunk.a_nnz });
+        self.issue(s, op, format!("row analysis (chunk {id})"))?;
+        let op = DeviceOp::Copy(CopyDir::D2H, chunk.row_info_bytes);
+        self.issue(s, op, format!("D2H row info (chunk {id})"))?;
+        let row_info_done = self.sim.record_event(s);
+
+        // Previous chunk, first portion: overlaps this chunk's
+        // symbolic phase.
+        self.flush_first();
+
+        // Host grouping needs the row-analysis results — "we give up
+        // concurrency opportunities during the row analysis stage".
+        self.sim.event_synchronize(row_info_done);
+        self.host(
+            chunk.rows as u64 * GROUPING_NS_PER_ROW,
+            format!("host grouping (chunk {id})"),
+        );
+
+        let (numeric_flops, suffix) = match &chunk.spec {
+            // Speculative schedule: the output buffer was sized from
+            // the estimation model at planning time, so the symbolic
+            // kernels, the row-nnz D2H, and the host prefix sum all
+            // disappear — numeric kernels launch straight after
+            // grouping, into the estimated allocation.
+            Some(spec) => {
+                self.flush_rest();
+                (&spec.est_group_flops, ", speculative")
+            }
+            None => {
+                // Stage 2: symbolic kernels per row group.
                 for (g, &flops) in chunk.groups.group_flops.iter().enumerate() {
-                    let label = format!("symbolic g{g} (chunk {id})");
-                    if retry_kernel(
-                        sim,
+                    let kind = KernelKind::Symbolic {
+                        flops,
+                        compression_ratio: cr,
+                    };
+                    self.issue(
                         s,
-                        KernelKind::Symbolic {
-                            flops,
-                            compression_ratio: chunk.compression_ratio,
-                        },
-                        &label,
-                        policy,
-                        report,
-                    )
-                    .is_err()
-                    {
-                        break 'chunk Some(ChunkFailure::Faults);
-                    }
+                        DeviceOp::Kernel(kind),
+                        format!("symbolic g{g} (chunk {id})"),
+                    )?;
                 }
-                let label = format!("D2H row nnz (chunk {id})");
-                if retry_copy(
-                    sim,
-                    s,
-                    CopyOp {
-                        dir: CopyDir::D2H,
-                        bytes: chunk.row_nnz_bytes,
-                        mem,
-                    },
-                    &label,
-                    policy,
-                    report,
-                )
-                .is_err()
-                {
-                    break 'chunk Some(ChunkFailure::Faults);
-                }
-                let row_nnz_done = sim.record_event(s);
+                let op = DeviceOp::Copy(CopyDir::D2H, chunk.row_nnz_bytes);
+                self.issue(s, op, format!("D2H row nnz (chunk {id})"))?;
+                let row_nnz_done = self.sim.record_event(s);
 
-                flush_prev_rest(sim, &mut prev, mem, policy, report, &mut failed);
+                // Previous chunk, second portion: overlaps this chunk's
+                // numeric phase.
+                self.flush_rest();
 
-                sim.event_synchronize(row_nnz_done);
-                sim.host_compute(
+                // Host sizes the output from the symbolic results; the
+                // space is already reserved in the pool — no device
+                // barrier.
+                self.sim.event_synchronize(row_nnz_done);
+                self.host(
                     chunk.rows as u64 * PREFIX_NS_PER_ROW,
                     format!("host prefix sum (chunk {id})"),
                 );
-
-                for (g, &flops) in chunk.numeric_groups.group_flops.iter().enumerate() {
-                    let label = format!("numeric g{g} (chunk {id})");
-                    if retry_kernel(
-                        sim,
-                        s,
-                        KernelKind::Numeric {
-                            flops,
-                            compression_ratio: chunk.compression_ratio,
-                        },
-                        &label,
-                        policy,
-                        report,
-                    )
-                    .is_err()
-                    {
-                        break 'chunk Some(ChunkFailure::Faults);
-                    }
-                }
+                (&chunk.numeric_groups.group_flops, "")
             }
-            None
         };
 
-        match failure {
-            None => {
-                let (first_bytes, second_bytes) = chunk.split_output_bytes(split_fraction);
-                prev = Some(RecoveringPending {
-                    stream: s,
-                    chunk_id: id,
-                    index: i,
-                    first_bytes,
-                    second_bytes,
-                    first_issued: false,
-                });
+        // Stage 3: numeric kernels per output-size row group.
+        for (g, &flops) in numeric_flops.iter().enumerate() {
+            let kind = KernelKind::Numeric {
+                flops,
+                compression_ratio: cr,
+            };
+            self.issue(
+                s,
+                DeviceOp::Kernel(kind),
+                format!("numeric g{g} (chunk {id}{suffix})"),
+            )?;
+        }
+        // The kernels' bounds check fires only now — the work above is
+        // charged (and lost) exactly as on real hardware, where
+        // overflow is detected in flight.
+        let overflowed = chunk
+            .spec
+            .as_ref()
+            .filter(|s| s.overflowed(chunk.out_bytes));
+        if let Some(spec) = overflowed.filter(|_| !self.exact_sizes) {
+            self.report.estimate_overflows += 1;
+            self.sim.note_recovery(format!(
+                "estimate overflow chunk {id}: allocated {} bytes, needs {}",
+                spec.est_out_bytes, chunk.out_bytes
+            ));
+            return Err(ChunkFailure::EstimateOverflow {
+                needed: chunk.out_bytes,
+            });
+        }
+        Ok(())
+    }
+
+    /// Issues the previous chunk's first output portion if it is still
+    /// pending. If the transfer fails for good, that chunk fails.
+    fn flush_first(&mut self) {
+        let Some(mut p) = self.prev.take() else {
+            return;
+        };
+        if !p.first_issued {
+            let op = DeviceOp::Copy(CopyDir::D2H, p.first_bytes);
+            let label = format!("D2H output 1/2 (chunk {})", p.chunk_id);
+            if let Err(f) = self.issue(p.stream, op, label) {
+                self.failed.push((p.index, f));
+                return;
             }
-            Some(f) => failed.push((i, f)),
+            p.first_issued = true;
+        }
+        self.prev = Some(p);
+    }
+
+    /// Issues whatever is left of the previous chunk's output (both
+    /// portions, if the first never made it out). If a transfer fails
+    /// for good, that chunk fails.
+    fn flush_rest(&mut self) {
+        self.flush_first();
+        if let Some(p) = self.prev.take() {
+            let op = DeviceOp::Copy(CopyDir::D2H, p.second_bytes);
+            let label = format!("D2H output 2/2 (chunk {})", p.chunk_id);
+            if let Err(f) = self.issue(p.stream, op, label) {
+                self.failed.push((p.index, f));
+            }
         }
     }
 
-    flush_prev_rest(sim, &mut prev, mem, policy, report, &mut failed);
-    sim.note_pool_high_water(pool_high_water);
-    // Release the pool so a follow-up pass (after re-splitting) can
-    // size its own pool against the then-current device capacity.
-    sim.free(pool, "pre-allocated pool");
-    // Synchronize so the pass's completion is visible on `sim.now()`.
-    sim.finish();
-    Ok(RecoveringOutcome { failed })
+    /// Charges host-side work to the host clock.
+    fn host(&mut self, ns: SimTime, label: String) {
+        self.sim.host_compute(ns, label);
+        self.last_done = self.last_done.max(self.sim.now());
+    }
+
+    /// Issues `op` on `stream`, retrying injected faults up to
+    /// `policy.max_retries` times with deterministic simulated
+    /// backoff. `Err` means the retry budget is exhausted.
+    fn issue(
+        &mut self,
+        stream: Stream,
+        op: DeviceOp,
+        mut label: String,
+    ) -> Result<(), ChunkFailure> {
+        let mut attempt = 0u32;
+        loop {
+            // A fault hands the label back, so a clean run formats each
+            // label once.
+            let tried = match op {
+                DeviceOp::Kernel(kind) => self.sim.try_enqueue_kernel(stream, kind, label),
+                DeviceOp::Copy(dir, bytes) => self
+                    .sim
+                    .try_enqueue_copy(stream, dir, bytes, self.mem, label),
+            };
+            let fault = match tried {
+                Ok(done) => {
+                    self.last_done = self.last_done.max(done);
+                    return Ok(());
+                }
+                Err(fault) => fault,
+            };
+            label = fault.label;
+            let what = match op {
+                DeviceOp::Kernel(_) => {
+                    self.report.kernel_faults += 1;
+                    "kernel"
+                }
+                DeviceOp::Copy(..) => {
+                    self.report.copy_faults += 1;
+                    "copy"
+                }
+            };
+            self.report.time_lost_ns += fault.lost_ns;
+            if attempt >= self.policy.max_retries {
+                self.sim.note_recovery(format!(
+                    "abandon after {} {what} faults: {label}",
+                    attempt + 1
+                ));
+                return Err(ChunkFailure::Faults);
+            }
+            attempt += 1;
+            backoff(self.sim, &mut self.report, attempt, &label);
+        }
+    }
+
+    /// Drains the last chunk's output and records the pool high-water
+    /// mark.
+    fn finish(&mut self) {
+        self.flush_rest();
+        self.sim.note_pool_high_water(self.high_water);
+    }
+}
+
+/// Charges the simulated backoff before retry `attempt` of `what`.
+fn backoff(sim: &mut GpuSim, report: &mut RecoveryReport, attempt: u32, what: &str) {
+    let wait = backoff_ns(sim.cost(), attempt);
+    report.retries += 1;
+    report.backoff_ns += wait;
+    report.time_lost_ns += wait;
+    sim.note_recovery(format!("retry {attempt}: {what}"));
+    sim.host_compute(wait, format!("backoff {attempt}: {what}"));
 }
 
 #[cfg(test)]
@@ -1028,12 +681,23 @@ mod tests {
     use sparse::gen::erdos_renyi;
     use sparse::CsrView;
 
-    fn prepared_fixture(n_chunks: usize) -> (Vec<sparse::CsrMatrix>, sparse::CsrMatrix) {
+    /// `n_chunks` prepared chunks: all of A against column panels of B.
+    fn prepared_fixture(n_chunks: usize) -> Vec<PreparedChunk> {
         let a = erdos_renyi(1200, 1200, 0.02, 1);
         let b = erdos_renyi(1200, 1200, 0.02, 2);
         let ranges = sparse::partition::col::even_col_ranges(&b, n_chunks);
         let panels = sparse::partition::col::ColPartitioner::Cursor.partition(&b, &ranges);
-        (panels.into_iter().map(|p| p.matrix).collect(), a)
+        panels
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                prepare_chunk(ChunkJob {
+                    a_panel: CsrView::of(&a),
+                    b_panel: &p.matrix,
+                    chunk_id: i,
+                })
+            })
+            .collect()
     }
 
     fn new_sim() -> GpuSim {
@@ -1042,23 +706,12 @@ mod tests {
 
     #[test]
     fn pipeline_overlaps_transfers_with_compute() {
-        let (panels, a) = prepared_fixture(4);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
+        let prepared = prepared_fixture(4);
         let refs: Vec<&_> = prepared.iter().collect();
         let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
 
         let mut sim = new_sim();
-        let async_time = simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap();
+        let async_time = simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2).unwrap();
         sim.timeline().validate().unwrap();
 
         // Serial lower bound: sum of all busy times must exceed the
@@ -1083,40 +736,18 @@ mod tests {
 
     #[test]
     fn pipeline_has_no_alloc_barriers_after_setup() {
-        let (panels, a) = prepared_fixture(3);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
+        let prepared = prepared_fixture(3);
         let refs: Vec<&_> = prepared.iter().collect();
         let flags = vec![true, false, false];
         let mut sim = new_sim();
-        simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap();
+        simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2).unwrap();
         let barriers = sim.timeline().of_kind(OpKind::AllocBarrier).count();
         assert_eq!(barriers, 1, "only the up-front pool allocation may exist");
     }
 
     #[test]
     fn deeper_pipelines_are_valid_and_complete() {
-        let (panels, a) = prepared_fixture(6);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
+        let prepared = prepared_fixture(6);
         let refs: Vec<&_> = prepared.iter().collect();
         let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
         let mut times = Vec::new();
@@ -1147,7 +778,7 @@ mod tests {
     #[test]
     fn empty_chunk_list_is_noop() {
         let mut sim = new_sim();
-        let t = simulate_pipeline(&mut sim, &[], &[], 0.33, true).unwrap();
+        let t = simulate_pipeline_depth(&mut sim, &[], &[], 0.33, true, 2).unwrap();
         assert_eq!(t, 0);
     }
 
@@ -1163,21 +794,10 @@ mod tests {
 
     #[test]
     fn mismatched_transfer_flags_are_a_config_error() {
-        let (panels, a) = prepared_fixture(2);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
+        let prepared = prepared_fixture(2);
         let refs: Vec<&_> = prepared.iter().collect();
         let mut sim = new_sim();
-        let err = simulate_pipeline(&mut sim, &refs, &[true], 0.33, true).unwrap_err();
+        let err = simulate_pipeline_depth(&mut sim, &refs, &[true], 0.33, true, 2).unwrap_err();
         match err {
             crate::OocError::Config(msg) => assert!(msg.contains("transfer flag"), "{msg}"),
             other => panic!("expected Config error, got {other:?}"),
@@ -1188,7 +808,7 @@ mod tests {
     fn out_of_range_split_fraction_is_a_config_error() {
         let mut sim = new_sim();
         for bad in [-0.1, 1.5, f64::NAN] {
-            let err = simulate_pipeline(&mut sim, &[], &[], bad, true).unwrap_err();
+            let err = simulate_pipeline_depth(&mut sim, &[], &[], bad, true, 2).unwrap_err();
             assert!(matches!(err, crate::OocError::Config(_)), "{bad}: {err:?}");
         }
     }
@@ -1216,22 +836,11 @@ mod tests {
 
     #[test]
     fn pipeline_reports_pool_high_water() {
-        let (panels, a) = prepared_fixture(3);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
+        let prepared = prepared_fixture(3);
         let refs: Vec<&_> = prepared.iter().collect();
         let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
         let mut sim = new_sim();
-        simulate_pipeline(&mut sim, &refs, &flags, 0.33, true).unwrap();
+        simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2).unwrap();
         let hw = sim.pool_high_water();
         assert!(hw > 0, "pipeline must report pool usage");
         assert!(
@@ -1242,21 +851,10 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_is_reported() {
-        let (panels, a) = prepared_fixture(2);
-        let prepared: Vec<_> = panels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                prepare_chunk(ChunkJob {
-                    a_panel: CsrView::of(&a),
-                    b_panel: p,
-                    chunk_id: i,
-                })
-            })
-            .collect();
+        let prepared = prepared_fixture(2);
         let refs: Vec<&_> = prepared.iter().collect();
         let mut sim = GpuSim::new(DeviceProps::v100_scaled(1 << 16), CostModel::calibrated());
-        let err = simulate_pipeline(&mut sim, &refs, &[true, false], 0.33, true);
+        let err = simulate_pipeline_depth(&mut sim, &refs, &[true, false], 0.33, true, 2);
         assert!(err.is_err());
     }
 }

@@ -7,7 +7,8 @@
 //! [`Planner::plan_exact`]) runs one global symbolic pass over
 //! `C = A·B` (the same analysis the in-core symbolic phase performs,
 //! hoisted to planning time) and grows the panel grid until the
-//! estimated working set of two in-flight chunks fits the budget.
+//! estimated working set — the resident A panel plus one in-flight
+//! chunk per pipeline epoch — fits the budget.
 //! The estimated path ([`Planner::estimated`]) replaces the symbolic
 //! pass with a sampled nnz(C) model from [`accum::estimate`], cutting
 //! planning cost from O(flops) to O(nnz(A) + sampled flops); the
@@ -101,6 +102,9 @@ enum NnzSource {
 
 /// Plans panel grids.
 pub struct Planner<'a> {
+    /// Pipeline epochs the working set must hold
+    /// ([`Planner::pipeline_depth`]).
+    depth: u64,
     a: &'a CsrMatrix,
     b: &'a CsrMatrix,
     /// Exclusive prefix sum of per-row flops (`n_rows + 1` entries):
@@ -155,6 +159,7 @@ impl<'a> Planner<'a> {
         let total_flops = *row_flops_prefix.last().unwrap();
         let total_nnz_c = c_cols.len() as u64;
         Ok(Planner {
+            depth: 2,
             a,
             b,
             row_flops_prefix,
@@ -205,6 +210,7 @@ impl<'a> Planner<'a> {
         let total_flops = *row_flops_prefix.last().unwrap();
         let total_nnz_c = *row_est_prefix.last().unwrap();
         Ok(Planner {
+            depth: 2,
             a,
             b,
             row_flops_prefix,
@@ -216,6 +222,14 @@ impl<'a> Planner<'a> {
             total_flops,
             total_nnz_c,
         })
+    }
+
+    /// Sizes working sets for a pipeline of `depth` buffer epochs: the
+    /// resident A panel plus `depth` in-flight chunks. The default is
+    /// 2, the paper's double buffering.
+    pub fn pipeline_depth(mut self, depth: usize) -> Self {
+        self.depth = depth as u64;
+        self
     }
 
     /// The estimation model backing this planner, when it was built by
@@ -339,8 +353,8 @@ impl<'a> Planner<'a> {
         let k_c = col_ranges.len();
         let b_bytes: Vec<u64> = col_ranges.iter().map(|c| self.b_panel_bytes(c)).collect();
         // The pipeline keeps the A panel in a dedicated resident slot
-        // and double-buffers everything else (B panel, per-row scratch,
-        // output) across two epochs.
+        // and rotates everything else (B panel, per-row scratch,
+        // output) across `depth` epochs.
         let mut max_a = 0u64;
         let mut max_rest = 0u64;
         for (i, r) in row_ranges.iter().enumerate() {
@@ -352,7 +366,7 @@ impl<'a> Planner<'a> {
                 max_rest = max_rest.max(bb + scratch + out);
             }
         }
-        ((max_a + 2 * max_rest) as f64 * OUT_SLACK) as u64
+        ((max_a + self.depth * max_rest) as f64 * OUT_SLACK) as u64
     }
 
     /// Chunk-nnz grid for a panel layout. Exact path: bins the
@@ -372,8 +386,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Estimated device bytes of the pipeline working set for a plan:
-    /// two in-flight chunks, each with its panels, per-row scratch and
-    /// output buffer.
+    /// the resident A panel plus one in-flight chunk per pipeline
+    /// epoch, each with its B panel, per-row scratch and output buffer.
     ///
     /// The plan's column ranges must be contiguous from column 0 (every
     /// plan this planner produces is). `O(nnz(C) + chunks)`.
@@ -405,7 +419,7 @@ impl<'a> Planner<'a> {
                 max_rest = max_rest.max(bb + scratch + out);
             }
         }
-        ((max_a + 2 * max_rest) as f64 * OUT_SLACK) as u64
+        ((max_a + self.depth * max_rest) as f64 * OUT_SLACK) as u64
     }
 
     /// 2D chunk-nnz prefix table for a fixed column layout:

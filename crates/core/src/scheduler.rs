@@ -10,9 +10,10 @@
 //!
 //! The claim loop is a *deterministic simulation-time auction*, not a
 //! wall-clock race. Each side keeps a clock: the GPU's is the
-//! projected completion of its claimed prefix, simulated with a
-//! pipeline model (`PipelineSession` on a clean scratch simulator) in
-//! the same row-grouped order the executor will actually run; the
+//! projected completion of its claimed prefix, pushed through the
+//! executor's own `PipelineSession` (pricing speculative chunks by
+//! their exact footprint) on a clean scratch simulator, in the same
+//! row-grouped order the executor will actually run; the
 //! CPU's is the calibrated cost-model sum of its stolen chunks. Each
 //! step compares the two candidate moves — GPU claims the head, CPU
 //! steals the tail — and takes whichever keeps the projected makespan
@@ -39,7 +40,7 @@
 use crate::chunks::{ChunkGrid, ChunkInfo};
 use crate::config::{HybridConfig, SchedulerKind};
 use crate::executor::PreparedGrid;
-use crate::pipeline::PipelineSession;
+use crate::pipeline::{a_slot_bytes, ChunkAttempt, PipelineSession};
 use gpu_sim::{GpuSim, SimTime};
 
 /// The outcome of distributing an ordered chunk list: the GPU's prefix
@@ -85,10 +86,6 @@ fn all_cpu(order: &[ChunkInfo]) -> Assignment {
     }
 }
 
-fn align256(bytes: u64) -> u64 {
-    bytes.div_ceil(256) * 256
-}
-
 fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) -> Assignment {
     let n = order.len();
     if n == 0 {
@@ -109,11 +106,7 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
 
     let cfg = &config.gpu;
     // Conservative A-slot covering any claimable prefix.
-    let a_slot_bytes = order
-        .iter()
-        .map(|info| align256(pg.chunk(info.id).a_bytes))
-        .max()
-        .unwrap_or(0);
+    let a_slot = a_slot_bytes(order.iter().map(|info| pg.chunk(info.id)));
 
     // Projected completion of a claimed prefix, simulated in the same
     // row-grouped order the executor will actually run it in — claim
@@ -128,15 +121,19 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
             cfg.split_fraction,
             cfg.pinned,
             cfg.pipeline_depth,
-            a_slot_bytes,
+            a_slot,
+            cfg.recovery,
+            true,
         )
         .ok()?;
-        let mut last_row: Option<usize> = None;
         for info in ChunkGrid::grouped_desc(prefix) {
+            let chunk = pg.chunk(info.id);
             session
-                .push(pg.chunk(info.id), last_row != Some(info.id.row))
+                .push(&ChunkAttempt {
+                    chunk,
+                    row: info.id.row,
+                })
                 .ok()?;
-            last_row = Some(info.id.row);
         }
         Some(session.projected_finish())
     };

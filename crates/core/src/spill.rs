@@ -27,9 +27,9 @@
 use crate::assemble::assemble;
 use crate::chunks::ChunkId;
 use crate::config::OocConfig;
-use crate::executor::{prepare_grid, simulate_order};
+use crate::executor::{execution_order, plan_panels, prepare_grid, simulate_order};
 use crate::faults::{self, HostFaultKind, HostFaultState};
-use crate::plan::{PanelPlan, Planner};
+use crate::plan::PanelPlan;
 use crate::recovery::RecoveryReport;
 use crate::{OocError, Result};
 use gpu_sim::{GpuSim, SimTime};
@@ -359,11 +359,7 @@ impl SpilledMatrix {
 
         config.validate()?;
         let mut spilled = Self::open(dir)?;
-        let planner = Planner::new(a, b)?;
-        let plan = match config.panels {
-            Some((r, c)) => planner.fixed(r, c)?,
-            None => planner.auto(config.device.device_memory_bytes)?,
-        };
+        let (planner, plan) = plan_panels(a, b, &exact(config))?;
         let mut bounds: Vec<usize> = plan.row_ranges.iter().map(|r| r.start).collect();
         bounds.push(plan.row_ranges.last().map_or(0, |r| r.end));
         if bounds != spilled.row_bounds || b.n_cols() != spilled.n_cols {
@@ -449,6 +445,14 @@ pub struct SpilledRun {
     pub recovery: RecoveryReport,
 }
 
+/// `config` with the estimator forced exact: the spill path sizes disk
+/// segments from exact chunk outputs, so it always plans exactly.
+fn exact(config: &OocConfig) -> OocConfig {
+    config
+        .clone()
+        .estimator(accum::estimate::EstimateConfig::exact())
+}
+
 /// Computes `C = a · b` out-of-core and spills the result to `dir`,
 /// one shard per row panel. Peak host memory for the output is one
 /// row panel plus one chunk. The manifest is rewritten after every
@@ -462,16 +466,8 @@ pub fn multiply_to_disk(
 ) -> Result<SpilledRun> {
     std::fs::create_dir_all(dir)
         .map_err(|e| OocError::Config(format!("cannot create {}: {e}", dir.display())))?;
-    // The spill path sizes disk segments from exact chunk outputs, so
-    // it always plans exactly regardless of the configured estimator.
-    let exact_cfg = config
-        .clone()
-        .estimator(accum::estimate::EstimateConfig::exact());
-    let pg = prepare_grid(a, b, &exact_cfg)?;
-    let order = match (config.mode, config.reorder_chunks) {
-        (crate::ExecMode::Async, true) => crate::ChunkGrid::grouped_desc(&pg.grid.sorted_desc()),
-        _ => pg.grid.natural_order(),
-    };
+    let pg = prepare_grid(a, b, &exact(config))?;
+    let order = execution_order(&pg, config);
     let mut sim = GpuSim::new(config.device.clone(), config.cost.clone());
     let sim_ns = simulate_order(&mut sim, &pg, &order, config)?;
 

@@ -1,9 +1,9 @@
 //! Property tests pinning the rebuilt planning/assembly hot path to
 //! the reference implementations it replaced: the incremental `auto`
-//! search must pick the same grid as the from-scratch greedy, the
-//! grid-based working-set estimate must equal the per-chunk
-//! binary-search one, and parallel assembly must be byte-identical to
-//! the serial sweep for any chunk arrival order.
+//! search must pick the same grid as the from-scratch greedy at every
+//! pipeline depth, the grid-based working-set estimate must equal the
+//! per-chunk binary-search one, and parallel assembly must be
+//! byte-identical to the serial sweep for any chunk arrival order.
 
 use oocgemm::assemble::{assemble, assemble_serial};
 use oocgemm::{ChunkId, Planner};
@@ -34,8 +34,9 @@ proptest! {
     fn incremental_auto_matches_reference(
         a in arb_square(70, 500),
         budget_shift in 14u32..23,
+        depth in 2usize..=3,
     ) {
-        let planner = Planner::new(&a, &a).unwrap();
+        let planner = Planner::new(&a, &a).unwrap().pipeline_depth(depth);
         let budget = 1u64 << budget_shift;
         match (planner.auto(budget), planner.auto_reference(budget)) {
             (Ok(fast), Ok(slow)) => {
@@ -62,8 +63,9 @@ proptest! {
         a in arb_square(60, 400),
         k_r in 1usize..6,
         k_c in 1usize..6,
+        depth in 2usize..=3,
     ) {
-        let planner = Planner::new(&a, &a).unwrap();
+        let planner = Planner::new(&a, &a).unwrap().pipeline_depth(depth);
         let plan = planner.fixed(k_r, k_c).unwrap();
         prop_assert_eq!(
             planner.working_set_bytes(&plan),
