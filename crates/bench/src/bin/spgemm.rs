@@ -25,7 +25,7 @@
 //! deliberately tight cache cap and fails on any cap excursion.
 
 use oocgemm::{
-    multiply_multi_gpu, multiply_unified, ExecMode, FaultPlan, Hybrid, HybridConfig,
+    multiply_multi_gpu, multiply_unified, ExecMode, FaultPlan, Hybrid, HybridConfig, Metrics,
     MultiGpuConfig, OocConfig, OutOfCoreGpu, SchedulerKind,
 };
 use sparse::gen::{rmat, RmatConfig, SuiteMatrix, SuiteScale};
@@ -107,13 +107,7 @@ fn parse_args() -> Args {
             "--executor" => args.executor = value(),
             "--device-mb" => args.device_mb = Some(value().parse().unwrap_or_else(|_| usage())),
             "--ratio" => args.ratio = Some(value()),
-            "--scheduler" => {
-                args.scheduler = match value().as_str() {
-                    "static" => SchedulerKind::Static,
-                    "stealing" | "work-stealing" => SchedulerKind::WorkStealing,
-                    _ => usage(),
-                }
-            }
+            "--scheduler" => args.scheduler = value().parse().unwrap_or_else(|_| usage()),
             "--panels" => {
                 let v = value();
                 let (r, c) = v.split_once('x').unwrap_or_else(|| usage());
@@ -203,6 +197,15 @@ fn write_result(path: &Path, c: &CsrMatrix) {
         std::process::exit(1)
     });
     println!("wrote {}", path.display());
+}
+
+/// Writes the `--metrics-out` document: the run's derived `Metrics`.
+fn write_metrics(path: &Path, metrics: &Metrics) {
+    let json = serde_json::to_string_pretty(metrics).expect("metrics serialize");
+    std::fs::write(path, json).unwrap_or_else(|e| {
+        eprintln!("failed to write metrics: {e}");
+        std::process::exit(1)
+    });
 }
 
 fn serve_usage() -> ! {
@@ -306,10 +309,7 @@ fn serve_main() -> ! {
     let report = bench::serve::run_trace(&trace, &cfg);
     print!("{}", report.table());
     if let Some(path) = &metrics_out {
-        std::fs::write(path, &report.metrics_json).unwrap_or_else(|e| {
-            eprintln!("failed to write metrics: {e}");
-            std::process::exit(1)
-        });
+        write_metrics(path, &report.metrics);
         println!("wrote per-tenant metrics to {}", path.display());
     }
     if report.mismatches > 0 {
@@ -641,10 +641,7 @@ fn main() {
     if let Some(path) = &args.metrics_out {
         match &metrics {
             Some(m) => {
-                std::fs::write(path, m.to_json()).unwrap_or_else(|e| {
-                    eprintln!("failed to write metrics: {e}");
-                    std::process::exit(1)
-                });
+                write_metrics(path, m);
                 println!("wrote metrics to {}", path.display());
             }
             None => eprintln!("note: --metrics-out ignored (executor has no device metrics)"),

@@ -58,7 +58,17 @@ pub fn cases() -> Vec<PrepCase> {
     ]
 }
 
+/// One point of a thread-scaling curve.
+#[derive(serde::Serialize)]
+pub struct ScalingPoint {
+    /// Pool size.
+    pub threads: usize,
+    /// Parallel engine on that pool, ns.
+    pub ns: u64,
+}
+
 /// Timing results of one case.
+#[derive(serde::Serialize)]
 pub struct PrepBenchRow {
     /// Case label.
     pub name: &'static str,
@@ -79,11 +89,11 @@ pub struct PrepBenchRow {
     pub parallel_2t_ns: u64,
     /// Parallel engine on a pool of all host threads, ns.
     pub parallel_all_ns: u64,
-    /// Thread-scaling curve: `(threads, ns)` for power-of-two pool
-    /// sizes up to (and always including) `host_threads`. Unlike the
-    /// fixed `parallel_2t` column, the curve never oversubscribes —
-    /// on a single-core host it honestly collapses to one point.
-    pub scaling: Vec<(usize, u64)>,
+    /// Thread-scaling curve for power-of-two pool sizes up to (and
+    /// always including) `host_threads`. Unlike the fixed
+    /// `parallel_2t` column, the curve never oversubscribes — on a
+    /// single-core host it honestly collapses to one point.
+    pub scaling: Vec<ScalingPoint>,
 }
 
 impl PrepBenchRow {
@@ -144,11 +154,15 @@ pub fn run_case(case: &PrepCase) -> PrepBenchRow {
     let mut scaling = Vec::new();
     let mut t = 1usize;
     while t <= host_threads.max(1) {
-        scaling.push((t, if t == 1 { parallel_1t_ns } else { parallel(t) }));
+        let ns = if t == 1 { parallel_1t_ns } else { parallel(t) };
+        scaling.push(ScalingPoint { threads: t, ns });
         t *= 2;
     }
-    if scaling.last().map(|&(t, _)| t) != Some(host_threads.max(1)) {
-        scaling.push((host_threads.max(1), parallel_all_ns));
+    if scaling.last().map(|p| p.threads) != Some(host_threads.max(1)) {
+        scaling.push(ScalingPoint {
+            threads: host_threads.max(1),
+            ns: parallel_all_ns,
+        });
     }
 
     PrepBenchRow {
@@ -194,41 +208,13 @@ pub fn table(rows: &[PrepBenchRow]) -> String {
 }
 
 /// Renders rows as the `BENCH_chunk_prep.json` document.
-/// Hand-formatted so the baseline can be produced in fully offline
-/// builds.
 pub fn to_json(rows: &[PrepBenchRow]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"chunk_prep\",\n  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let scaling = r
-            .scaling
-            .iter()
-            .map(|&(t, ns)| format!("{{\"threads\": {t}, \"ns\": {ns}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"n\": {},\n      \"nnz\": {},\n      \
-             \"chunks\": {},\n      \"host_threads\": {},\n      \
-             \"serial_ns\": {},\n      \"parallel_1t_ns\": {},\n      \
-             \"parallel_2t_ns\": {},\n      \"parallel_all_ns\": {},\n      \
-             \"scaling\": [{}],\n      \
-             \"speedup_1t\": {:.3},\n      \"speedup_all\": {:.3}\n    }}{}\n",
-            r.name,
-            r.n,
-            r.nnz,
-            r.chunks,
-            r.host_threads,
-            r.serial_ns,
-            r.parallel_1t_ns,
-            r.parallel_2t_ns,
-            r.parallel_all_ns,
-            scaling,
-            r.speedup_1t(),
-            r.speedup_all(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    crate::bench_cases_json("chunk_prep", rows, |r| {
+        vec![
+            ("speedup_1t", r.speedup_1t()),
+            ("speedup_all", r.speedup_all()),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -247,15 +233,18 @@ mod tests {
             parallel_1t_ns: 2000,
             parallel_2t_ns: 1500,
             parallel_all_ns: 1000,
-            scaling: vec![(1, 2000), (2, 1500), (4, 1200), (8, 1000)],
+            scaling: [(1, 2000), (2, 1500), (4, 1200), (8, 1000)]
+                .map(|(threads, ns)| ScalingPoint { threads, ns })
+                .into(),
         }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"speedup_all\": 3.000"));
-        assert!(json.contains("\"speedup_1t\": 1.500"));
-        assert!(json.contains("\"host_threads\": 8"));
-        assert!(json.contains("{\"threads\": 4, \"ns\": 1200}"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc: serde_json::Value = serde_json::from_str(&to_json(&rows)).unwrap();
+        assert_eq!(doc["benchmark"], "chunk_prep");
+        let case = &doc["cases"][0];
+        assert_eq!(case["speedup_all"], 3.0);
+        assert_eq!(case["speedup_1t"], 1.5);
+        assert_eq!(case["host_threads"], 8);
+        assert_eq!(case["scaling"][2]["threads"], 4);
+        assert_eq!(case["scaling"][2]["ns"], 1200);
     }
 
     #[test]
@@ -269,10 +258,10 @@ mod tests {
         assert!(row.serial_ns > 0 && row.parallel_all_ns > 0);
         // The scaling curve starts at one thread and never exceeds
         // the real core count (no oversubscribed points).
-        assert_eq!(row.scaling.first().map(|&(t, _)| t), Some(1));
+        assert_eq!(row.scaling.first().map(|p| p.threads), Some(1));
         assert!(row
             .scaling
             .iter()
-            .all(|&(t, _)| t <= row.host_threads.max(1)));
+            .all(|p| p.threads <= row.host_threads.max(1)));
     }
 }

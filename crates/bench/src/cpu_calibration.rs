@@ -24,7 +24,7 @@ use sparse::CsrMatrix;
 use std::time::Instant;
 
 /// One timed kernel run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct CalibrationPoint {
     /// Workload label.
     pub name: &'static str,
@@ -36,19 +36,39 @@ pub struct CalibrationPoint {
     pub wall_ns: u64,
 }
 
-/// The fitted model plus the points it was fitted from.
-#[derive(Clone, Debug)]
+/// The CPU constants of a [`gpu_sim::CostModel`].
+#[derive(Clone, Copy, Debug, serde::Serialize)]
+pub struct CpuConstants {
+    /// Flop rate, flops/s.
+    pub cpu_flop_rate: f64,
+    /// Per-output-insert cost, ns.
+    pub cpu_insert_ns: f64,
+    /// Fixed per-chunk overhead, ns.
+    pub cpu_chunk_overhead_ns: u64,
+}
+
+impl CpuConstants {
+    fn of(m: &gpu_sim::CostModel) -> Self {
+        CpuConstants {
+            cpu_flop_rate: m.cpu_flop_rate,
+            cpu_insert_ns: m.cpu_insert_ns,
+            cpu_chunk_overhead_ns: m.cpu_chunk_overhead_ns,
+        }
+    }
+}
+
+/// The fitted model plus the points it was fitted from, next to the
+/// frozen paper constants — the `BENCH_cpu_calibration.json` document.
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct CpuCalibration {
     /// Threads the kernel ran with (`rayon::current_num_threads`).
     pub host_threads: usize,
     /// The timed workloads.
     pub points: Vec<CalibrationPoint>,
-    /// Measured flop rate, flops/s.
-    pub flop_rate: f64,
-    /// Measured per-output-insert cost, ns.
-    pub insert_ns: f64,
-    /// Measured fixed per-chunk overhead, ns.
-    pub chunk_overhead_ns: u64,
+    /// The constants measured on this host.
+    pub measured: CpuConstants,
+    /// The frozen paper constants they would replace.
+    pub paper: CpuConstants,
 }
 
 fn best_of(iters: usize, mut f: impl FnMut() -> CsrMatrix) -> (u64, CsrMatrix) {
@@ -114,25 +134,29 @@ pub fn run() -> CpuCalibration {
     CpuCalibration {
         host_threads,
         points: vec![skew, reg, tiny],
-        flop_rate,
-        insert_ns,
-        chunk_overhead_ns,
+        measured: CpuConstants {
+            cpu_flop_rate: flop_rate,
+            cpu_insert_ns: insert_ns,
+            cpu_chunk_overhead_ns: chunk_overhead_ns,
+        },
+        paper: CpuConstants::of(&gpu_sim::CostModel::calibrated()),
     }
 }
 
 impl CpuCalibration {
     /// The paper model with this host's measured CPU constants.
     pub fn cost_model(&self) -> gpu_sim::CostModel {
+        let m = &self.measured;
         gpu_sim::CostModel::calibrated().with_measured_cpu(
-            self.flop_rate,
-            self.insert_ns,
-            self.chunk_overhead_ns,
+            m.cpu_flop_rate,
+            m.cpu_insert_ns,
+            m.cpu_chunk_overhead_ns,
         )
     }
 
     /// Stdout table: measured constants next to the frozen paper ones.
     pub fn table(&self) -> String {
-        let paper = gpu_sim::CostModel::calibrated();
+        let (m, paper) = (&self.measured, &self.paper);
         let mut out = String::new();
         out.push_str("workload          flops       nnz_out     wall(ms)\n");
         for p in &self.points {
@@ -150,11 +174,11 @@ impl CpuCalibration {
              insert_ns          {:>10.3}       {:>10.3}\n\
              chunk_overhead_ns  {:>10}       {:>10}\n\
              host_threads       {:>10}       {:>10}\n",
-            self.flop_rate / 1e9,
+            m.cpu_flop_rate / 1e9,
             paper.cpu_flop_rate / 1e9,
-            self.insert_ns,
+            m.cpu_insert_ns,
             paper.cpu_insert_ns,
-            self.chunk_overhead_ns,
+            m.cpu_chunk_overhead_ns,
             paper.cpu_chunk_overhead_ns,
             self.host_threads,
             28,
@@ -162,37 +186,9 @@ impl CpuCalibration {
         out
     }
 
-    /// The `BENCH_cpu_calibration.json` document. Hand-formatted like
-    /// the other bench baselines so offline builds can emit it.
+    /// The `BENCH_cpu_calibration.json` document.
     pub fn to_json(&self) -> String {
-        let paper = gpu_sim::CostModel::calibrated();
-        let points = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"name\": \"{}\", \"flops\": {}, \"nnz_out\": {}, \"wall_ns\": {}}}",
-                    p.name, p.flops, p.nnz_out, p.wall_ns
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"benchmark\": \"cpu_calibration\",\n  \"host_threads\": {},\n  \
-             \"points\": [\n{}\n  ],\n  \
-             \"measured\": {{\"cpu_flop_rate\": {:.1}, \"cpu_insert_ns\": {:.3}, \
-             \"cpu_chunk_overhead_ns\": {}}},\n  \
-             \"paper\": {{\"cpu_flop_rate\": {:.1}, \"cpu_insert_ns\": {:.3}, \
-             \"cpu_chunk_overhead_ns\": {}}}\n}}\n",
-            self.host_threads,
-            points,
-            self.flop_rate,
-            self.insert_ns,
-            self.chunk_overhead_ns,
-            paper.cpu_flop_rate,
-            paper.cpu_insert_ns,
-            paper.cpu_chunk_overhead_ns,
-        )
+        crate::bench_json("cpu_calibration", self)
     }
 }
 
@@ -203,12 +199,21 @@ mod tests {
     #[test]
     fn fit_produces_positive_rates_and_valid_json() {
         let cal = run();
-        assert!(cal.flop_rate > 0.0);
-        assert!(cal.insert_ns >= 0.0);
+        assert!(cal.measured.cpu_flop_rate > 0.0);
+        assert!(cal.measured.cpu_insert_ns >= 0.0);
         let json = cal.to_json();
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid json");
         assert_eq!(parsed["benchmark"], "cpu_calibration");
         assert_eq!(parsed["points"].as_array().unwrap().len(), 3);
+        assert_eq!(parsed["points"][1]["name"], "stencil_96x96");
+        assert_eq!(
+            parsed["paper"]["cpu_flop_rate"],
+            gpu_sim::CostModel::calibrated().cpu_flop_rate
+        );
+        assert_eq!(
+            parsed["measured"]["cpu_chunk_overhead_ns"],
+            cal.measured.cpu_chunk_overhead_ns
+        );
         // The measured model plugs into the paper calibration without
         // touching the frozen constants.
         let m = cal.cost_model();
@@ -216,6 +221,6 @@ mod tests {
             m.d2h_bandwidth,
             gpu_sim::CostModel::calibrated().d2h_bandwidth
         );
-        assert!((m.cpu_flop_rate - cal.flop_rate).abs() < 1.0);
+        assert!((m.cpu_flop_rate - cal.measured.cpu_flop_rate).abs() < 1.0);
     }
 }

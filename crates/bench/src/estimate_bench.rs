@@ -31,6 +31,7 @@ pub const KINDS: [EstimatorKind; 3] = [
 ];
 
 /// One (matrix, estimator kind) measurement.
+#[derive(serde::Serialize)]
 pub struct EstimateBenchRow {
     /// Suite matrix abbreviation.
     pub matrix: String,
@@ -172,39 +173,15 @@ pub fn table(rows: &[EstimateBenchRow]) -> String {
     out
 }
 
-/// Renders rows as the `BENCH_estimate.json` document. Hand-formatted
-/// so the baseline can be produced in fully offline builds.
+/// Renders rows as the `BENCH_estimate.json` document.
 pub fn to_json(rows: &[EstimateBenchRow]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"estimate\",\n  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"matrix\": \"{}\",\n      \"kind\": \"{}\",\n      \
-             \"n\": {},\n      \"nnz\": {},\n      \
-             \"plan_ns\": {},\n      \"exact_plan_ns\": {},\n      \
-             \"sim_ns\": {},\n      \"exact_sim_ns\": {},\n      \
-             \"est_nnz\": {},\n      \"actual_nnz\": {},\n      \
-             \"overflow_retries\": {},\n      \
-             \"plan_speedup\": {:.3},\n      \"sim_speedup\": {:.3},\n      \
-             \"rel_error\": {:.4}\n    }}{}\n",
-            r.matrix,
-            r.kind,
-            r.n,
-            r.nnz,
-            r.plan_ns,
-            r.exact_plan_ns,
-            r.sim_ns,
-            r.exact_sim_ns,
-            r.est_nnz,
-            r.actual_nnz,
-            r.overflow_retries,
-            r.plan_speedup(),
-            r.sim_speedup(),
-            r.rel_error(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    crate::bench_cases_json("estimate", rows, |r| {
+        vec![
+            ("plan_speedup", r.plan_speedup()),
+            ("sim_speedup", r.sim_speedup()),
+            ("rel_error", r.rel_error()),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -227,12 +204,14 @@ mod tests {
             actual_nnz: 1000,
             overflow_retries: 1,
         }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"plan_speedup\": 4.000"));
-        assert!(json.contains("\"sim_speedup\": 1.100"));
-        assert!(json.contains("\"rel_error\": -0.0500"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc: serde_json::Value = serde_json::from_str(&to_json(&rows)).unwrap();
+        assert_eq!(doc["benchmark"], "estimate");
+        let case = &doc["cases"][0];
+        assert_eq!(case["kind"], "row-sample");
+        assert_eq!(case["overflow_retries"], 1);
+        assert_eq!(case["plan_speedup"], 4.0);
+        assert_eq!(case["sim_speedup"], 1.1);
+        assert_eq!(case["rel_error"], -0.05);
     }
 
     #[test]

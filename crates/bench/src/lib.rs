@@ -21,6 +21,8 @@ pub mod planner_bench;
 pub mod serve;
 pub mod table;
 
+use serde::Serialize;
+use serde_json::Value;
 use sparse::gen::{suite, SuiteMatrix, SuiteScale};
 use sparse::stats::ProductStats;
 use sparse::CsrMatrix;
@@ -72,6 +74,41 @@ pub fn load_suite(scale: SuiteScale) -> Vec<SuiteEntry> {
             SuiteEntry { id, matrix, stats }
         })
         .collect()
+}
+
+/// Renders a `BENCH_*.json` document: `"benchmark": name`, then the
+/// fields of `body`.
+pub fn bench_json(name: &str, body: &impl Serialize) -> String {
+    let mut doc = Value::Null;
+    doc["benchmark"] = name.into();
+    let body = serde_json::to_value(body).expect("bench documents serialize");
+    for (key, value) in body.as_object().expect("a bench document is an object") {
+        doc[key.as_str()] = value.clone();
+    }
+    serde_json::to_string_pretty(&doc).expect("bench documents serialize")
+}
+
+/// Renders a per-case `BENCH_*.json` document, `{"benchmark",
+/// "cases"}`: each case is a row's fields followed by its derived
+/// `ratios`.
+pub fn bench_cases_json<R: Serialize>(
+    name: &str,
+    rows: &[R],
+    ratios: impl Fn(&R) -> Vec<(&'static str, f64)>,
+) -> String {
+    let cases = rows
+        .iter()
+        .map(|r| {
+            let mut case = serde_json::to_value(r).expect("bench rows serialize");
+            for (key, ratio) in ratios(r) {
+                case[key] = ratio.into();
+            }
+            case
+        })
+        .collect();
+    let mut body = Value::Null;
+    body["cases"] = Value::Array(cases);
+    bench_json(name, &body)
 }
 
 #[cfg(test)]

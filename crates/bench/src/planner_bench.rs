@@ -53,6 +53,7 @@ pub fn cases() -> Vec<PlannerCase> {
 }
 
 /// Timing results of one case.
+#[derive(serde::Serialize)]
 pub struct PlannerBenchRow {
     /// Case label.
     pub name: &'static str,
@@ -172,35 +173,14 @@ pub fn table(rows: &[PlannerBenchRow]) -> String {
     out
 }
 
-/// Renders rows as the `BENCH_planner.json` document. Hand-formatted
-/// so the baseline can be produced in fully offline builds.
+/// Renders rows as the `BENCH_planner.json` document.
 pub fn to_json(rows: &[PlannerBenchRow]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"planner\",\n  \"cases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"n\": {},\n      \"nnz\": {},\n      \
-             \"device_bytes\": {},\n      \"auto_chunks\": {},\n      \
-             \"planner_new_ns\": {},\n      \"auto_ns\": {},\n      \
-             \"auto_reference_ns\": {},\n      \"auto_speedup\": {:.3},\n      \
-             \"assemble_ns\": {},\n      \"assemble_serial_ns\": {},\n      \
-             \"assemble_speedup\": {:.3}\n    }}{}\n",
-            r.name,
-            r.n,
-            r.nnz,
-            r.device_bytes,
-            r.auto_chunks,
-            r.planner_new_ns,
-            r.auto_ns,
-            r.auto_reference_ns,
-            r.auto_speedup(),
-            r.assemble_ns,
-            r.assemble_serial_ns,
-            r.assemble_speedup(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    crate::bench_cases_json("planner", rows, |r| {
+        vec![
+            ("auto_speedup", r.auto_speedup()),
+            ("assemble_speedup", r.assemble_speedup()),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -221,11 +201,12 @@ mod tests {
             assemble_ns: 5,
             assemble_serial_ns: 10,
         }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"auto_speedup\": 10.000"));
-        assert!(json.contains("\"assemble_speedup\": 2.000"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc: serde_json::Value = serde_json::from_str(&to_json(&rows)).unwrap();
+        assert_eq!(doc["benchmark"], "planner");
+        let case = &doc["cases"][0];
+        assert_eq!(case["name"], "case");
+        assert_eq!(case["auto_reference_ns"], 100);
+        assert_eq!(case["auto_speedup"], 10.0);
+        assert_eq!(case["assemble_speedup"], 2.0);
     }
 }

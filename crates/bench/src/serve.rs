@@ -13,8 +13,8 @@
 //! FILE` replays (or writes) a trace file.
 
 use oocgemm::{
-    EstimateConfig, EstimatorKind, HostFaultPlan, Hybrid, HybridConfig, OocConfig, Outcome,
-    Request, RequestOp, RunBudget, SchedulerKind, Service, ServiceConfig, TenantQuota,
+    EstimateConfig, HostFaultPlan, Hybrid, HybridConfig, Metrics, OocConfig, Outcome, Request,
+    RequestOp, RunBudget, SchedulerKind, Service, ServiceConfig, TenantQuota,
 };
 use sparse::gen::erdos_renyi;
 use sparse::CsrMatrix;
@@ -64,9 +64,10 @@ pub struct TraceRequest {
     pub operands: Vec<usize>,
     /// Power exponent (ignored for the other ops).
     pub k: u32,
-    /// `stealing` | `static`.
+    /// `stealing` | `work-stealing` | `static`, as `spgemm --scheduler`
+    /// spells it.
     pub scheduler: String,
-    /// Estimator kind name.
+    /// Estimator kind name, as `spgemm --estimator` spells it.
     pub estimator: String,
     /// Estimator headroom.
     pub headroom: f64,
@@ -266,8 +267,8 @@ pub struct ServeReport {
     pub cap_violations: u64,
     /// Simulated makespan of the trace, ns.
     pub makespan_ns: u64,
-    /// Per-tenant metrics JSON (the service's `Metrics::to_json`).
-    pub metrics_json: String,
+    /// The service's metrics: per-tenant aggregates and residency.
+    pub metrics: Metrics,
 }
 
 impl ServeReport {
@@ -303,27 +304,27 @@ impl ServeReport {
     }
 }
 
-fn scheduler_of(name: &str) -> SchedulerKind {
-    match name {
-        "static" => SchedulerKind::Static,
-        _ => SchedulerKind::WorkStealing,
-    }
+fn scheduler_of(t: &TraceRequest) -> Result<SchedulerKind, String> {
+    t.scheduler.parse().map_err(|e| format!("scheduler: {e}"))
 }
 
-fn estimator_of(t: &TraceRequest) -> EstimateConfig {
-    let kind = t
-        .estimator
-        .parse::<EstimatorKind>()
-        .unwrap_or(EstimatorKind::Exact);
-    EstimateConfig {
+fn estimator_of(t: &TraceRequest) -> Result<EstimateConfig, String> {
+    let kind = t.estimator.parse().map_err(|e| format!("estimator: {e}"))?;
+    Ok(EstimateConfig {
         kind,
         headroom: t.headroom,
         ..EstimateConfig::default()
-    }
+    })
 }
 
-fn build_request(t: &TraceRequest, keys: &[usize]) -> Option<Request> {
-    let key = |i: usize| keys.get(*t.operands.get(i)?).copied();
+/// The service request a trace entry describes, or what is malformed
+/// about it.
+fn build_request(t: &TraceRequest, keys: &[usize]) -> Result<Request, String> {
+    let key = |i: usize| {
+        let m = t.operands.get(i).and_then(|&m| keys.get(m));
+        m.copied()
+            .ok_or(format!("operands: no pool matrix for operand {i}"))
+    };
     let op = match t.op.as_str() {
         "multiply" => RequestOp::Multiply {
             a: key(0)?,
@@ -335,15 +336,15 @@ fn build_request(t: &TraceRequest, keys: &[usize]) -> Option<Request> {
             a: key(1)?,
             p: key(2)?,
         },
-        _ => return None,
+        other => return Err(format!("op: unknown op '{other}' (multiply|power|triple)")),
     };
     let mut req = Request {
         id: t.id,
         tenant: t.tenant.clone(),
         arrival_ns: t.arrival_ns,
         op,
-        scheduler: scheduler_of(&t.scheduler),
-        estimator: estimator_of(t),
+        scheduler: scheduler_of(t)?,
+        estimator: estimator_of(t)?,
         budget: None,
         host_faults: None,
     };
@@ -353,13 +354,13 @@ fn build_request(t: &TraceRequest, keys: &[usize]) -> Option<Request> {
     if let Some(d) = t.deadline_ns.filter(|&d| d != 0) {
         req = req.budget(RunBudget::deadline(d));
     }
-    Some(req)
+    Ok(req)
 }
 
 /// One-shot recomputation of a trace request: the product the service
 /// must reproduce bit for bit.
 fn one_shot(t: &TraceRequest, pool: &[CsrMatrix], cfg: &ServiceConfig) -> Option<CsrMatrix> {
-    let mut gpu = cfg.gpu.clone().estimator(estimator_of(t));
+    let mut gpu = cfg.gpu.clone().estimator(estimator_of(t).ok()?);
     if t.host_fault_seed != 0 {
         gpu = gpu.host_faults(HostFaultPlan::seeded(t.host_fault_seed).all_rates(0.25));
     }
@@ -372,7 +373,7 @@ fn one_shot(t: &TraceRequest, pool: &[CsrMatrix], cfg: &ServiceConfig) -> Option
                 gpu,
                 gpu_ratio: cfg.gpu_ratio,
                 reorder_assignment: true,
-                scheduler: scheduler_of(&t.scheduler),
+                scheduler: scheduler_of(t).ok()?,
             };
             Some(
                 Hybrid::new(hcfg)
@@ -428,12 +429,13 @@ pub fn run_trace(trace: &ServeTrace, config: &ServiceConfig) -> ServeReport {
     let mut submitted = 0u64;
     let mut completions = Vec::new();
     for t in &trace.requests {
-        let Some(req) = build_request(t, &keys) else {
-            eprintln!("serve: skipping malformed trace request {}", t.id);
+        if let Err(e) =
+            build_request(t, &keys).and_then(|req| svc.submit(req).map_err(|e| e.to_string()))
+        {
+            eprintln!("serve: skipping malformed trace request {}: {e}", t.id);
             continue;
-        };
+        }
         submitted += 1;
-        svc.submit(req).expect("trace request validated");
         check_cap(&svc);
         completions.extend(svc.poll_completions());
     }
@@ -503,7 +505,7 @@ pub fn run_trace(trace: &ServeTrace, config: &ServiceConfig) -> ServeReport {
         resident_high_water_bytes: stats.resident_grid_high_water_bytes,
         cap_violations,
         makespan_ns,
-        metrics_json: metrics.to_json(),
+        metrics,
     }
 }
 

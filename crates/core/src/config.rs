@@ -298,6 +298,7 @@ impl Default for OocConfig {
 
 /// How the hybrid executor distributes chunks between GPU and CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[serde(rename_all = "kebab-case")]
 pub enum SchedulerKind {
     /// The paper's Algorithm 4: one up-front flop-ratio split, each
     /// side runs its fixed half to completion.
@@ -316,6 +317,22 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Static => "static",
             SchedulerKind::WorkStealing => "work-stealing",
+        }
+    }
+}
+
+impl std::str::FromStr for SchedulerKind {
+    type Err = String;
+
+    /// Parses a scheduler name as `spgemm --scheduler` and trace files
+    /// spell it: `static`, `stealing` or `work-stealing`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "static" => Ok(SchedulerKind::Static),
+            "stealing" | "work-stealing" => Ok(SchedulerKind::WorkStealing),
+            other => Err(format!(
+                "unknown scheduler '{other}' (static|stealing|work-stealing)"
+            )),
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Error type for the out-of-core framework.
 
+use crate::metrics::Metrics;
 use gpu_sim::OutOfDeviceMemory;
 use sparse::SparseError;
 use std::fmt;
@@ -30,11 +31,11 @@ pub enum OocError {
     /// The run's simulated-time budget is unmeetable: even after
     /// walking every degradation rung (shrink headroom → force exact →
     /// demote to CPU) the remaining work cannot finish by the
-    /// deadline. Carries partial accounting so callers can report what
+    /// deadline. Carries partial [`Metrics`] so callers can report what
     /// *did* complete. The service frontend catches this per request
     /// and converts it into an
     /// [`Outcome::DeadlineExceeded`](crate::service::Outcome)
-    /// completion (carrying the partial report) instead of failing the
+    /// completion (carrying the partial metrics) instead of failing the
     /// drain, so one late request never poisons the queue behind it.
     DeadlineExceeded {
         /// The configured deadline, simulated ns.
@@ -45,9 +46,10 @@ pub enum OocError {
         completed_chunks: usize,
         /// Work items the run started with.
         total_chunks: usize,
-        /// Partial run report: elapsed time plus the recovery columns
-        /// accumulated up to the abort.
-        partial: Box<crate::report::RunReport>,
+        /// Partial metrics: `completion_ns` is the elapsed time, with
+        /// the per-chunk counters and degradation events recorded up to
+        /// the abort; no timeline block.
+        partial: Box<Metrics>,
     },
 }
 
@@ -128,13 +130,10 @@ mod tests {
             elapsed_ns: 1_500,
             completed_chunks: 3,
             total_chunks: 8,
-            partial: Box::new(crate::report::RunReport::new(
-                "partial",
-                "supervised",
-                0,
-                0,
-                1_500,
-            )),
+            partial: Box::new(Metrics {
+                completion_ns: 1_500,
+                ..Metrics::default()
+            }),
         };
         let msg = e.to_string();
         assert!(msg.contains("1500 ns"), "{msg}");

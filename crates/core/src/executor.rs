@@ -415,6 +415,13 @@ impl Recovery<'_> {
         w.source.chunk(self.pg, &self.subs)
     }
 
+    /// The per-chunk counters so far, in `(row, col)` order.
+    fn chunk_metrics(&self) -> Vec<ChunkMetrics> {
+        let mut chunks: Vec<ChunkMetrics> = self.stats.values().copied().collect();
+        chunks.sort_unstable_by_key(|s| (s.row, s.col));
+        chunks
+    }
+
     /// Re-sizes every pending speculative chunk with `remake`.
     fn respec(
         &mut self,
@@ -628,15 +635,12 @@ fn simulate_order_recovering(
                 if elapsed.saturating_add(cpu_total) > b.sim_deadline_ns {
                     let pending_parents: std::collections::HashSet<ChunkId> =
                         pending.iter().map(|w| w.parent).collect();
-                    let partial = crate::report::RunReport::new(
-                        "partial",
-                        "supervised",
-                        pg.total_flops(),
-                        pg.total_nnz(),
-                        elapsed,
-                    )
-                    .with_recovery(&r.report)
-                    .with_degradations(&degradations);
+                    let partial = Metrics {
+                        completion_ns: elapsed,
+                        chunks: r.chunk_metrics(),
+                        degradations,
+                        ..Metrics::default()
+                    };
                     return Err(crate::OocError::DeadlineExceeded {
                         deadline_ns: b.sim_deadline_ns,
                         elapsed_ns: elapsed,
@@ -768,6 +772,7 @@ fn simulate_order_recovering(
     }
 
     let sim_ns = r.sim.finish();
+    let chunk_stats = r.chunk_metrics();
     let mut overrides = HashMap::new();
     for (parent, mut parts) in r.pieces {
         parts.sort_by_key(|&(start, _)| start);
@@ -779,8 +784,6 @@ fn simulate_order_recovering(
         );
         overrides.insert(parent, sparse::ops::vstack(&refs)?);
     }
-    let mut chunk_stats: Vec<ChunkMetrics> = r.stats.into_values().collect();
-    chunk_stats.sort_unstable_by_key(|s| (s.row, s.col));
     let recovery = r.report;
     Ok(DeviceRun {
         sim_ns,

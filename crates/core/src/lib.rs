@@ -80,7 +80,6 @@ pub use metrics::{
 pub use multigpu::{multiply_multi_gpu, MultiGpuConfig, MultiGpuRun};
 pub use plan::{PanelPlan, Planner};
 pub use recovery::{RecoveryPolicy, RecoveryReport, RunBudget};
-pub use report::RunReport;
 pub use service::{
     Completion, Outcome, Request, RequestOp, Service, ServiceConfig, ShedReason, TenantQuota,
     DEFAULT_AGING_NS,

@@ -47,6 +47,7 @@ pub struct SchedulerStats {
 
 /// Why a chunk left the GPU for the CPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum DemotionCause {
     /// The chunk's working set did not fit the device pool and could
     /// not be split further.
@@ -60,6 +61,7 @@ pub enum DemotionCause {
 
 /// Why a run degraded below its configured quality of service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum DegradationCause {
     /// The unified-memory working set exceeded device capacity and the
     /// run paged against the migration engine instead of running
@@ -77,19 +79,6 @@ pub enum DegradationCause {
     /// Sustained pressure (capacity shrink or repeated estimate
     /// overflows) re-planned the remaining grid in one batch.
     Replan,
-}
-
-impl DegradationCause {
-    /// Stable JSON/CLI name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DegradationCause::UnifiedThrash => "unified_thrash",
-            DegradationCause::HeadroomShrink => "headroom_shrink",
-            DegradationCause::ForcedExact => "forced_exact",
-            DegradationCause::DeadlineDemotion => "deadline_demotion",
-            DegradationCause::Replan => "replan",
-        }
-    }
 }
 
 /// One supervised degradation: what happened, when (simulated time),
@@ -243,7 +232,8 @@ pub struct ServiceStats {
     pub deadline_missed: u64,
 }
 
-/// Structured metrics for one executor run.
+/// Structured metrics for one executor run — the one per-run record
+/// every JSON report carries. Fields serialize in declaration order.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// The run's completion time — the exact `sim_ns` the executor
@@ -257,25 +247,25 @@ pub struct Metrics {
     /// the largest single chunk reservation it admitted (0 when the
     /// executor never carved a pool, e.g. pure-CPU demotion runs).
     pub pool_high_water_bytes: u64,
-    /// Per-chunk recovery counters; empty for exact fault-free runs.
-    /// Speculative runs always route through the recovering pass and
-    /// report at least one attempt per chunk.
-    pub chunks: Vec<ChunkMetrics>,
     /// Scheduler accounting; `None` for single-device runs that have
     /// no CPU/GPU work distribution to report.
     pub scheduler: Option<SchedulerStats>,
     /// Estimator accuracy accounting; `None` for exact (non-speculative)
     /// runs.
     pub estimator: Option<EstimatorStats>,
-    /// Supervised degradations, in the order they took effect; empty
-    /// for runs that never degraded.
-    pub degradations: Vec<DegradationEvent>,
     /// Per-tenant aggregates; only populated by the service frontend
     /// (empty for one-shot executor runs).
     pub tenants: Vec<TenantStats>,
     /// Service residency accounting; only populated by the service
     /// frontend (`None` for one-shot executor runs).
     pub service: Option<ServiceStats>,
+    /// Supervised degradations, in the order they took effect; empty
+    /// for runs that never degraded.
+    pub degradations: Vec<DegradationEvent>,
+    /// Per-chunk recovery counters; empty for exact fault-free runs.
+    /// Speculative runs always route through the recovering pass and
+    /// report at least one attempt per chunk.
+    pub chunks: Vec<ChunkMetrics>,
 }
 
 impl Metrics {
@@ -287,12 +277,7 @@ impl Metrics {
             timeline: sim.timeline().metrics(),
             device_high_water_bytes: sim.memory().high_water(),
             pool_high_water_bytes: sim.pool_high_water(),
-            chunks: Vec::new(),
-            scheduler: None,
-            estimator: None,
-            degradations: Vec::new(),
-            tenants: Vec::new(),
-            service: None,
+            ..Metrics::default()
         }
     }
 
@@ -331,320 +316,112 @@ impl Metrics {
         self.service = Some(stats);
         self
     }
-
-    /// Serializes to pretty-printed JSON.
-    ///
-    /// Hand-rolled (field names pinned by the schema tests) so the
-    /// `--metrics-out` CLI path has no serde-runtime dependency. The
-    /// derived `Serialize` impl has the same fields but not the same
-    /// values for enums: this writer prints their report names
-    /// (`"work-stealing"`, `"device_memory"`, `"forced_exact"`), the
-    /// derive prints variant names (`"WorkStealing"`, ...).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(2048);
-        s.push_str("{\n");
-        push_u64(&mut s, 1, "completion_ns", self.completion_ns, true);
-        s.push_str("  \"timeline\": {\n");
-        let t = &self.timeline;
-        push_u64(&mut s, 2, "makespan_ns", t.makespan_ns, true);
-        for (name, e) in [("kernel", t.kernel), ("h2d", t.h2d), ("d2h", t.d2h)] {
-            s.push_str(&format!(
-                "    \"{name}\": {{ \"busy_ns\": {}, \"idle_ns\": {}, \"ops\": {} }},\n",
-                e.busy_ns, e.idle_ns, e.ops
-            ));
-        }
-        push_u64(&mut s, 2, "h2d_bytes", t.h2d_bytes, true);
-        push_u64(&mut s, 2, "d2h_bytes", t.d2h_bytes, true);
-        push_f64(&mut s, 2, "h2d_bandwidth", t.h2d_bandwidth, true);
-        push_f64(&mut s, 2, "d2h_bandwidth", t.d2h_bandwidth, true);
-        s.push_str("    \"kernel_classes\": [");
-        for (i, k) in t.kernel_classes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n      {{ \"class\": \"{}\", \"busy_ns\": {}, \"launches\": {}, \"payload\": {} }}",
-                k.class.name(),
-                k.busy_ns,
-                k.launches,
-                k.payload
-            ));
-        }
-        if !t.kernel_classes.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("],\n");
-        push_u64(&mut s, 2, "host_compute_ns", t.host_compute_ns, true);
-        push_f64(&mut s, 2, "transfer_fraction", t.transfer_fraction, true);
-        push_u64(&mut s, 2, "hidden_transfer_ns", t.hidden_transfer_ns, true);
-        push_u64(&mut s, 2, "total_transfer_ns", t.total_transfer_ns, true);
-        push_f64(&mut s, 2, "overlap_efficiency", t.overlap_efficiency, true);
-        s.push_str("    \"streams\": [");
-        for (i, m) in t.streams.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n      {{ \"stream\": {}, \"ops\": {}, \"busy_ns\": {}, \"span_ns\": {} }}",
-                m.stream, m.ops, m.busy_ns, m.span_ns
-            ));
-        }
-        if !t.streams.is_empty() {
-            s.push_str("\n    ");
-        }
-        s.push_str("]\n");
-        s.push_str("  },\n");
-        push_u64(
-            &mut s,
-            1,
-            "device_high_water_bytes",
-            self.device_high_water_bytes,
-            true,
-        );
-        push_u64(
-            &mut s,
-            1,
-            "pool_high_water_bytes",
-            self.pool_high_water_bytes,
-            true,
-        );
-        match &self.scheduler {
-            Some(st) => {
-                s.push_str(&format!(
-                    "  \"scheduler\": {{ \"kind\": \"{}\", \"gpu_claims\": {}, \
-                     \"cpu_steals\": {}, \"gpu_idle_ns\": {}, \"cpu_idle_ns\": {}, ",
-                    st.kind.name(),
-                    st.gpu_claims,
-                    st.cpu_steals,
-                    st.gpu_idle_ns,
-                    st.cpu_idle_ns,
-                ));
-                if st.realized_gpu_ratio.is_finite() {
-                    s.push_str(&format!(
-                        "\"realized_gpu_ratio\": {} }},\n",
-                        st.realized_gpu_ratio
-                    ));
-                } else {
-                    s.push_str("\"realized_gpu_ratio\": null },\n");
-                }
-            }
-            None => s.push_str("  \"scheduler\": null,\n"),
-        }
-        match &self.estimator {
-            Some(e) => {
-                s.push_str(&format!(
-                    "  \"estimator\": {{ \"kind\": \"{}\", \"sampled_rows\": {}, \
-                     \"est_nnz\": {}, \"actual_nnz\": {}, \"chunk_hits\": {}, \
-                     \"chunk_misses\": {}, \"overflow_rows\": {}, \"retries\": {}, ",
-                    e.kind,
-                    e.sampled_rows,
-                    e.est_nnz,
-                    e.actual_nnz,
-                    e.chunk_hits,
-                    e.chunk_misses,
-                    e.overflow_rows,
-                    e.retries,
-                ));
-                if e.headroom.is_finite() {
-                    s.push_str(&format!("\"headroom\": {} }},\n", e.headroom));
-                } else {
-                    s.push_str("\"headroom\": null },\n");
-                }
-            }
-            None => s.push_str("  \"estimator\": null,\n"),
-        }
-        s.push_str("  \"tenants\": [");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{ \"tenant\": \"{}\", \"submitted\": {}, \"completed\": {}, \
-                 \"shed\": {}, \"quota_queued\": {}, \"deadline_missed\": {}, \
-                 \"batch_hits\": {}, \"flops\": {}, \
-                 \"busy_ns\": {}, \"queued_ns\": {} }}",
-                t.tenant,
-                t.submitted,
-                t.completed,
-                t.shed,
-                t.quota_queued,
-                t.deadline_missed,
-                t.batch_hits,
-                t.flops,
-                t.busy_ns,
-                t.queued_ns
-            ));
-        }
-        if !self.tenants.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-        match &self.service {
-            Some(sv) => {
-                let cap = match sv.grid_cache_bytes {
-                    Some(c) => c.to_string(),
-                    None => "null".to_string(),
-                };
-                s.push_str(&format!(
-                    "  \"service\": {{ \"grid_cache_bytes\": {cap}, \
-                     \"resident_grid_bytes\": {}, \
-                     \"resident_grid_high_water_bytes\": {}, \"resident_grids\": {}, \
-                     \"grid_inserts\": {}, \"grid_evictions\": {}, \"grid_rebuilds\": {}, \
-                     \"matrices_resident\": {}, \"matrix_bytes\": {}, \
-                     \"matrices_released\": {}, \"deadline_missed\": {} }},\n",
-                    sv.resident_grid_bytes,
-                    sv.resident_grid_high_water_bytes,
-                    sv.resident_grids,
-                    sv.grid_inserts,
-                    sv.grid_evictions,
-                    sv.grid_rebuilds,
-                    sv.matrices_resident,
-                    sv.matrix_bytes,
-                    sv.matrices_released,
-                    sv.deadline_missed,
-                ));
-            }
-            None => s.push_str("  \"service\": null,\n"),
-        }
-        s.push_str("  \"degradations\": [");
-        for (i, d) in self.degradations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{ \"cause\": \"{}\", \"at_ns\": {}, \"cost_ns\": {} }}",
-                d.cause.name(),
-                d.at_ns,
-                d.cost_ns
-            ));
-        }
-        if !self.degradations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-        s.push_str("  \"chunks\": [");
-        for (i, c) in self.chunks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let cause = match c.demotion_cause {
-                Some(DemotionCause::DeviceMemory) => "\"device_memory\"".to_string(),
-                Some(DemotionCause::Faults) => "\"faults\"".to_string(),
-                Some(DemotionCause::Deadline) => "\"deadline\"".to_string(),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "\n    {{ \"row\": {}, \"col\": {}, \"attempts\": {}, \"resplits\": {}, \
-                 \"demotions\": {}, \"demotion_cause\": {cause} }}",
-                c.row, c.col, c.attempts, c.resplits, c.demotions
-            ));
-        }
-        if !self.chunks.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-}
-
-fn push_u64(s: &mut String, indent: usize, key: &str, v: u64, comma: bool) {
-    s.push_str(&"  ".repeat(indent));
-    s.push_str(&format!("\"{key}\": {v}"));
-    s.push_str(if comma { ",\n" } else { "\n" });
-}
-
-fn push_f64(s: &mut String, indent: usize, key: &str, v: f64, comma: bool) {
-    s.push_str(&"  ".repeat(indent));
-    // Non-finite values have no JSON literal; they cannot occur here
-    // (all divisors are guarded) but null beats invalid output.
-    if v.is_finite() {
-        s.push_str(&format!("\"{key}\": {v}"));
-    } else {
-        s.push_str(&format!("\"{key}\": null"));
-    }
-    s.push_str(if comma { ",\n" } else { "\n" });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
+
+    /// The `--metrics-out` document of `m`, parsed back.
+    fn json(m: &Metrics) -> Value {
+        serde_json::from_str(&serde_json::to_string_pretty(m).unwrap()).unwrap()
+    }
+
+    /// Metrics holding one demoted chunk, (1, 2), with three attempts.
+    fn demoted(cause: DemotionCause) -> Metrics {
+        Metrics::default().with_chunks(vec![ChunkMetrics {
+            attempts: 3,
+            demotions: 1,
+            demotion_cause: Some(cause),
+            ..ChunkMetrics::new(ChunkId { row: 1, col: 2 })
+        }])
+    }
+
+    fn scheduler(kind: SchedulerKind) -> SchedulerStats {
+        SchedulerStats {
+            kind,
+            gpu_claims: 8,
+            cpu_steals: 4,
+            gpu_idle_ns: 0,
+            cpu_idle_ns: 1234,
+            realized_gpu_ratio: 0.71,
+        }
+    }
 
     #[test]
     fn empty_metrics_serialize_to_balanced_json() {
-        let json = Metrics::default().to_json();
+        let v = json(&Metrics::default());
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces:\n{json}"
+            keys,
+            [
+                "completion_ns",
+                "timeline",
+                "device_high_water_bytes",
+                "pool_high_water_bytes",
+                "scheduler",
+                "estimator",
+                "tenants",
+                "service",
+                "degradations",
+                "chunks",
+            ]
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"completion_ns\": 0"));
-        assert!(json.contains("\"kernel_classes\": []"));
-        assert!(json.contains("\"chunks\": []"));
+        for block in ["scheduler", "estimator", "service"] {
+            assert_eq!(v[block], Value::Null, "{block}");
+        }
+        for list in ["tenants", "degradations", "chunks"] {
+            assert_eq!(v[list], Value::Array(vec![]), "{list}");
+        }
+        assert_eq!(v["timeline"]["kernel_classes"], Value::Array(vec![]));
     }
 
     #[test]
     fn chunk_counters_serialize_with_causes() {
-        let mut c = ChunkMetrics::new(ChunkId { row: 1, col: 2 });
-        c.attempts = 3;
-        c.demotions = 1;
-        c.demotion_cause = Some(DemotionCause::DeviceMemory);
-        let m = Metrics {
-            chunks: vec![c],
-            ..Metrics::default()
-        };
-        let json = m.to_json();
-        assert!(json.contains("\"row\": 1, \"col\": 2, \"attempts\": 3"));
-        assert!(json.contains("\"demotion_cause\": \"device_memory\""));
-    }
-
-    #[test]
-    fn degradation_events_serialize_with_cause_names() {
-        let json = Metrics::default().to_json();
-        assert!(json.contains("\"degradations\": []"), "{json}");
-        let m = Metrics::default().with_degradations(vec![
-            DegradationEvent {
-                cause: DegradationCause::HeadroomShrink,
-                at_ns: 10,
-                cost_ns: 0,
-            },
-            DegradationEvent {
-                cause: DegradationCause::DeadlineDemotion,
-                at_ns: 20,
-                cost_ns: 5,
-            },
-        ]);
-        let json = m.to_json();
-        assert!(json.contains("\"cause\": \"headroom_shrink\""), "{json}");
-        assert!(json.contains("\"cause\": \"deadline_demotion\""));
-        assert!(json.contains("\"cost_ns\": 5"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let c = &json(&demoted(DemotionCause::DeviceMemory))["chunks"][0];
+        assert_eq!((c["row"].as_u64(), c["col"].as_u64()), (Some(1), Some(2)));
+        assert_eq!(c["attempts"], 3);
+        assert_eq!(c["demotion_cause"], "device_memory");
     }
 
     #[test]
     fn deadline_demotion_cause_serializes() {
-        let mut c = ChunkMetrics::new(ChunkId { row: 0, col: 0 });
-        c.demotions = 1;
-        c.demotion_cause = Some(DemotionCause::Deadline);
-        let m = Metrics {
-            chunks: vec![c],
-            ..Metrics::default()
+        let v = json(&demoted(DemotionCause::Deadline));
+        assert_eq!(v["chunks"][0]["demotion_cause"], "deadline");
+    }
+
+    #[test]
+    fn degradation_events_serialize_with_cause_names() {
+        let event = |cause, cost_ns| DegradationEvent {
+            cause,
+            at_ns: 10,
+            cost_ns,
         };
-        assert!(m.to_json().contains("\"demotion_cause\": \"deadline\""));
+        let v = json(&Metrics::default().with_degradations(vec![
+            event(DegradationCause::HeadroomShrink, 0),
+            event(DegradationCause::DeadlineDemotion, 5),
+        ]));
+        assert_eq!(v["degradations"][0]["cause"], "headroom_shrink");
+        assert_eq!(v["degradations"][1]["cause"], "deadline_demotion");
+        assert_eq!(v["degradations"][1]["cost_ns"], 5);
     }
 
     #[test]
     fn non_finite_floats_become_null() {
         let mut m = Metrics::default();
         m.timeline.overlap_efficiency = f64::NAN;
-        assert!(m.to_json().contains("\"overlap_efficiency\": null"));
+        let text = serde_json::to_string_pretty(&m).unwrap();
+        assert!(text.contains("\"overlap_efficiency\": null"), "{text}");
     }
 
     #[test]
     fn estimator_stats_serialize_and_default_to_null() {
-        let json = Metrics::default().to_json();
-        assert!(json.contains("\"estimator\": null"), "{json}");
         let m = Metrics::default().with_estimator(EstimatorStats {
             kind: "row-sample".into(),
             sampled_rows: 30,
@@ -656,95 +433,77 @@ mod tests {
             retries: 1,
             headroom: 1.5,
         });
-        let json = m.to_json();
-        assert!(json.contains("\"kind\": \"row-sample\""), "{json}");
-        assert!(json.contains("\"est_nnz\": 900"));
-        assert!(json.contains("\"actual_nnz\": 1000"));
-        assert!(json.contains("\"chunk_misses\": 1"));
-        assert!(json.contains("\"overflow_rows\": 12"));
-        assert!(json.contains("\"headroom\": 1.5"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let e = &json(&m)["estimator"];
+        assert_eq!(e["kind"], "row-sample");
+        assert_eq!(e["est_nnz"], 900);
+        assert_eq!(e["overflow_rows"], 12);
+        assert_eq!(e["headroom"], 1.5);
     }
 
     #[test]
     fn tenant_stats_serialize_and_default_to_empty() {
-        let json = Metrics::default().to_json();
-        assert!(json.contains("\"tenants\": []"), "{json}");
+        // Tenant names are free text from trace files.
         let m = Metrics::default().with_tenants(vec![TenantStats {
-            tenant: "acme".into(),
-            submitted: 10,
-            completed: 8,
-            shed: 1,
+            tenant: "a\"b\\c".into(),
             quota_queued: 2,
-            deadline_missed: 1,
-            batch_hits: 3,
-            flops: 1_000_000,
-            busy_ns: 50_000,
             queued_ns: 7_000,
+            ..TenantStats::default()
         }]);
-        let json = m.to_json();
-        assert!(json.contains("\"tenant\": \"acme\""), "{json}");
-        assert!(json.contains("\"submitted\": 10"));
-        assert!(json.contains("\"shed\": 1"));
-        assert!(json.contains("\"quota_queued\": 2"));
-        assert!(json.contains("\"deadline_missed\": 1"));
-        assert!(json.contains("\"batch_hits\": 3"));
-        assert!(json.contains("\"queued_ns\": 7000"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let t = &json(&m)["tenants"][0];
+        assert_eq!(t["tenant"], "a\"b\\c");
+        assert_eq!(t["quota_queued"], 2);
+        assert_eq!(t["queued_ns"], 7000);
     }
 
     #[test]
     fn service_stats_serialize_and_default_to_null() {
-        let json = Metrics::default().to_json();
-        assert!(json.contains("\"service\": null"), "{json}");
         let m = Metrics::default().with_service(ServiceStats {
             grid_cache_bytes: Some(1 << 20),
-            resident_grid_bytes: 700_000,
-            resident_grid_high_water_bytes: 1_000_000,
-            resident_grids: 2,
-            grid_inserts: 9,
             grid_evictions: 7,
-            grid_rebuilds: 4,
-            matrices_resident: 3,
-            matrix_bytes: 120_000,
-            matrices_released: 1,
-            deadline_missed: 2,
+            ..ServiceStats::default()
         });
-        let json = m.to_json();
-        assert!(json.contains("\"grid_cache_bytes\": 1048576"), "{json}");
-        assert!(json.contains("\"resident_grid_bytes\": 700000"));
-        assert!(json.contains("\"resident_grid_high_water_bytes\": 1000000"));
-        assert!(json.contains("\"grid_evictions\": 7"));
-        assert!(json.contains("\"grid_rebuilds\": 4"));
-        assert!(json.contains("\"matrices_released\": 1"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(json(&m)["service"]["grid_cache_bytes"], 1_048_576);
+        assert_eq!(json(&m)["service"]["grid_evictions"], 7);
         // An unbounded cache serializes its cap as null.
         let m = Metrics::default().with_service(ServiceStats::default());
-        assert!(m.to_json().contains("\"grid_cache_bytes\": null"));
+        assert_eq!(json(&m)["service"]["grid_cache_bytes"], Value::Null);
     }
 
     #[test]
     fn scheduler_stats_serialize_and_default_to_null() {
-        let json = Metrics::default().to_json();
-        assert!(json.contains("\"scheduler\": null"), "{json}");
-        let m = Metrics::default().with_scheduler(SchedulerStats {
-            kind: SchedulerKind::WorkStealing,
-            gpu_claims: 8,
-            cpu_steals: 4,
-            gpu_idle_ns: 0,
-            cpu_idle_ns: 1234,
-            realized_gpu_ratio: 0.71,
+        let v = json(&Metrics::default().with_scheduler(scheduler(SchedulerKind::WorkStealing)));
+        assert_eq!(v["scheduler"]["kind"], "work-stealing");
+        assert_eq!(v["scheduler"]["gpu_claims"], 8);
+        assert_eq!(v["scheduler"]["realized_gpu_ratio"], 0.71);
+    }
+
+    #[test]
+    fn populated_metrics_round_trip_through_json() {
+        let mut m = demoted(DemotionCause::Faults)
+            .with_scheduler(scheduler(SchedulerKind::Static))
+            .with_degradations(vec![DegradationEvent {
+                cause: DegradationCause::UnifiedThrash,
+                at_ns: 1,
+                cost_ns: 2,
+            }])
+            .with_tenants(vec![TenantStats::default()])
+            .with_service(ServiceStats::default());
+        m.timeline.kernel_classes.push(gpu_sim::KernelClassMetrics {
+            class: gpu_sim::KernelClass::RowAnalysis,
+            busy_ns: 5,
+            launches: 1,
+            payload: 9,
         });
-        let json = m.to_json();
-        assert!(json.contains("\"kind\": \"work-stealing\""), "{json}");
-        assert!(json.contains("\"gpu_claims\": 8"));
-        assert!(json.contains("\"cpu_steals\": 4"));
-        assert!(json.contains("\"cpu_idle_ns\": 1234"));
-        assert!(json.contains("\"realized_gpu_ratio\": 0.71"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = serde_json::to_string_pretty(&m).unwrap();
+        for name in [
+            "\"static\"",
+            "\"faults\"",
+            "\"unified_thrash\"",
+            "\"row_analysis\"",
+        ] {
+            assert!(text.contains(name), "no {name} in {text}");
+        }
+        let back: Metrics = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, m);
     }
 }

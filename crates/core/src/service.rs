@@ -36,7 +36,7 @@
 //!   request whose absolute deadline already passed at dispatch time
 //!   completes as [`Outcome::DeadlineExceeded`] without burning device
 //!   time; one whose executor run aborts on its own
-//!   [`RunBudget`] surfaces the same outcome with partial accounting.
+//!   [`RunBudget`] surfaces the same outcome with partial metrics.
 //!
 //! Determinism is the design bar, not an afterthought: every request's
 //! `C` is bit-identical to the equivalent one-shot call
@@ -58,7 +58,6 @@ use crate::faults::HostFaultPlan;
 use crate::hybrid::Hybrid;
 use crate::metrics::{Metrics, ServiceStats, TenantStats};
 use crate::recovery::RunBudget;
-use crate::report::RunReport;
 use crate::Result;
 use accum::estimate::EstimateConfig;
 use sparse::CsrMatrix;
@@ -398,11 +397,9 @@ pub enum Outcome {
     Completed {
         /// The product, bit-identical to the one-shot executor's.
         c: CsrMatrix,
-        /// Flat per-request report row. Boxed (with `metrics`) so a
-        /// completion list dominated by sheds doesn't pay the full
-        /// per-request accounting footprint per entry.
-        report: Box<RunReport>,
         /// Structured metrics of the run (last hop for chained ops).
+        /// Boxed so a completion list dominated by sheds doesn't pay
+        /// the full per-request accounting footprint per entry.
         metrics: Box<Metrics>,
         /// Simulated time spent between admission and dispatch, ns.
         queued_ns: u64,
@@ -423,8 +420,8 @@ pub enum Outcome {
     /// too late (the absolute deadline passed while it queued —
     /// `partial` is `None`, no device time was burned), or its
     /// executor run aborted on the [`RunBudget`] after walking every
-    /// degradation rung (`partial` carries the aborted run's
-    /// accounting).
+    /// degradation rung (`partial` carries the aborted run's partial
+    /// metrics).
     DeadlineExceeded {
         /// The absolute deadline that was missed, simulated ns
         /// (`arrival_ns + budget.sim_deadline_ns`).
@@ -433,9 +430,9 @@ pub enum Outcome {
         queued_ns: u64,
         /// Simulated time at which the service declared the miss, ns.
         missed_at_ns: u64,
-        /// Partial run accounting when the executor started and
-        /// aborted; `None` when the miss was decided at dispatch.
-        partial: Option<Box<RunReport>>,
+        /// Partial metrics when the executor started and aborted;
+        /// `None` when the miss was decided at dispatch.
+        partial: Option<Box<Metrics>>,
     },
 }
 
@@ -582,9 +579,7 @@ struct Executed {
     sim_ns: u64,
     flops: u64,
     metrics: Metrics,
-    report: RunReport,
     batch_hit: bool,
-    pool_high_water: u64,
 }
 
 /// Approximate resident host-heap footprint of a CSR matrix:
@@ -1178,7 +1173,7 @@ impl Service {
                     let start_ns = t;
                     let finish_ns = t + exec.sim_ns;
                     t = finish_ns;
-                    self.last_pool_frac = exec.pool_high_water as f64
+                    self.last_pool_frac = exec.metrics.pool_high_water_bytes as f64
                         / self.config.gpu.device.device_memory_bytes.max(1) as f64;
                     let stats = self
                         .tenants
@@ -1197,7 +1192,6 @@ impl Service {
                         tenant: req.tenant,
                         outcome: Outcome::Completed {
                             c: exec.c,
-                            report: Box::new(exec.report),
                             metrics: Box::new(exec.metrics),
                             queued_ns: start_ns - req.arrival_ns,
                             start_ns,
@@ -1236,7 +1230,7 @@ impl Service {
         deadline_ns: u64,
         queued_ns: u64,
         missed_at_ns: u64,
-        partial: Option<Box<RunReport>>,
+        partial: Option<Box<Metrics>>,
     ) {
         let stats = self
             .tenants
@@ -1359,26 +1353,11 @@ impl Service {
             scheduler: req.scheduler,
         });
         let run = hybrid.multiply_prepared(self.mat(a), grid)?;
-        let mut report = RunReport::new(
-            format!("req-{}", req.id),
-            "service/hybrid",
-            run.flops,
-            run.nnz_c,
-            run.sim_ns,
-        )
-        .with_recovery(&run.recovery)
-        .with_metrics(&run.metrics)
-        .with_scheduler(&run.scheduler);
-        if let Some(est) = &run.metrics.estimator {
-            report = report.with_estimator(est);
-        }
         Ok(Executed {
-            pool_high_water: run.metrics.pool_high_water_bytes,
             c: run.c,
             sim_ns: run.sim_ns,
             flops: run.flops,
             metrics: run.metrics,
-            report,
             batch_hit,
         })
     }
@@ -1388,12 +1367,12 @@ impl Service {
         match req.op {
             RequestOp::Power { a, k } => {
                 let run = OutOfCoreGpu::new(gpu).power(self.mat(a), k)?;
-                self.chained_executed(req, "service/power", run)
+                self.chained_executed(req, run)
             }
             RequestOp::TripleProduct { r, a, p } => {
                 let run =
                     OutOfCoreGpu::new(gpu).triple_product(self.mat(r), self.mat(a), self.mat(p))?;
-                self.chained_executed(req, "service/triple-product", run)
+                self.chained_executed(req, run)
             }
             RequestOp::Multiply { .. } => {
                 unreachable!("multiplies execute through execute_multiply")
@@ -1404,7 +1383,6 @@ impl Service {
     fn chained_executed(
         &self,
         req: &Request,
-        executor: &str,
         run: crate::executor::ChainedRun,
     ) -> Result<Executed> {
         // Chained runs report the final hop's metrics (the shape of the
@@ -1414,26 +1392,11 @@ impl Service {
         let flops = self
             .op_cost_flops(&req.op)
             .min(self.config.quota.capacity_flops);
-        let nnz_c = run.c.nnz() as u64;
-        let mut report = RunReport::new(
-            format!("req-{}", req.id),
-            executor,
-            flops,
-            nnz_c,
-            run.sim_ns,
-        )
-        .with_recovery(&run.recovery)
-        .with_metrics(&metrics);
-        if let Some(est) = &metrics.estimator {
-            report = report.with_estimator(est);
-        }
         Ok(Executed {
-            pool_high_water: metrics.pool_high_water_bytes,
             c: run.c,
             sim_ns: run.sim_ns,
             flops,
             metrics,
-            report,
             batch_hit: false,
         })
     }

@@ -170,7 +170,7 @@ fn measured_cpu_model_shifts_realized_ratio() {
 fn scheduler_stats_flow_into_metrics_json() {
     let a = fixture();
     let run = Hybrid::new(base()).multiply(&a, &a).unwrap();
-    let json = run.metrics.to_json();
+    let json = serde_json::to_string_pretty(&run.metrics).unwrap();
     assert!(
         json.contains("\"scheduler\""),
         "missing scheduler in:\n{json}"

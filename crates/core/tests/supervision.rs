@@ -68,10 +68,8 @@ fn unmeetable_deadline_returns_clean_error_with_partial_report() {
             assert_eq!(deadline_ns, 1);
             assert!(total_chunks > 0);
             assert!(completed_chunks <= total_chunks);
-            assert_eq!(partial.matrix, "partial");
-            assert_eq!(partial.executor, "supervised");
             assert!(
-                partial.degradations.unwrap_or(0) > 0,
+                !partial.degradations.is_empty(),
                 "the abort path must record its degradations"
             );
         }
@@ -123,7 +121,7 @@ fn tightening_deadlines_walk_every_degradation_rung() {
             }
             Err(OocError::DeadlineExceeded { partial, .. }) => {
                 saw_deadline_error = true;
-                assert!(partial.sim_ns <= clean.sim_ns * 100);
+                assert!(partial.completion_ns <= clean.sim_ns * 100);
             }
             Err(other) => panic!("budget {percent}%: unexpected error {other}"),
         }

@@ -61,6 +61,7 @@ pub enum KernelKind {
 /// chunk launches one kernel per phase, and the metrics layer reports
 /// compute time per family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum KernelClass {
     /// Per-row flop counting over the A panel.
     RowAnalysis,

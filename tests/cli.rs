@@ -292,3 +292,67 @@ fn cpu_kernel_flag_validates_and_warns_off_cpu() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--cpu-kernel has no effect"), "{stderr}");
 }
+
+/// Replays `trace` through `spgemm serve --metrics-out`; returns the
+/// process output and the metrics file.
+fn serve_trace(trace: &bench::serve::ServeTrace, name: &str) -> (std::process::Output, String) {
+    let (path, metrics) = (
+        temp(&format!("{name}.json")),
+        temp(&format!("{name}_m.json")),
+    );
+    std::fs::write(&path, serde_json::to_string(trace).unwrap()).unwrap();
+    let out = spgemm()
+        .args(["serve", "--trace", path.to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .expect("spawn spgemm");
+    let text = std::fs::read_to_string(&metrics).unwrap_or_default();
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&metrics).ok();
+    (out, text)
+}
+
+#[test]
+fn serve_metrics_out_deserializes_with_any_tenant_name() {
+    let mut trace = bench::serve::gen_trace(6, 2, 7);
+    for t in &mut trace.requests {
+        t.tenant = "a\"b\\c".to_string();
+    }
+    let (out, text) = serve_trace(&trace, "odd_tenant");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let metrics: oocgemm::Metrics = serde_json::from_str(&text)
+        .unwrap_or_else(|e| panic!("--metrics-out is not a Metrics document ({e}):\n{text}"));
+    assert_eq!(metrics.tenants.len(), 1);
+    assert_eq!(metrics.tenants[0].tenant, "a\"b\\c");
+}
+
+#[test]
+fn malformed_trace_requests_are_skipped_not_panicked() {
+    // Request 2 is a power the service rejects (k = 0); requests 3 and
+    // 4 carry names `spgemm --scheduler` / `--estimator` reject.
+    let mut trace = bench::serve::gen_trace(6, 2, 7);
+    let power = &mut trace.requests[1];
+    (power.op, power.operands, power.k) = ("power".to_string(), vec![0], 0);
+    trace.requests[2].scheduler = "Static".to_string();
+    trace.requests[3].estimator = "row_sample".to_string();
+    let (out, text) = serve_trace(&trace, "malformed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    for (id, field) in [(2, "k >= 1"), (3, "scheduler"), (4, "estimator")] {
+        let skipped = |l: &str| l.contains(&format!("request {id}:")) && l.contains(field);
+        assert!(
+            stderr.lines().any(skipped),
+            "request {id} not skipped:\n{stderr}"
+        );
+    }
+    let metrics: oocgemm::Metrics = serde_json::from_str(&text).unwrap();
+    let submitted: u64 = metrics.tenants.iter().map(|t| t.submitted).sum();
+    assert_eq!(
+        submitted, 3,
+        "only the well-formed requests reach the service"
+    );
+}
