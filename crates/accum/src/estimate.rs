@@ -132,9 +132,9 @@ impl EstimateConfig {
 }
 
 /// The distilled estimator: per-group compression ratios plus a safety
-/// margin. Small and `Copy`, so planners and per-chunk workers apply
-/// the *same* model everywhere — estimates are consistent across column
-/// panels by construction.
+/// margin. Small and `Copy`. The planner builds one over the whole
+/// product to size the grid; each speculative chunk builds its own
+/// over its panels, because compression depends on the column panel.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EstModel {
     /// Which estimator built this model.
@@ -254,14 +254,49 @@ impl EstModel {
 /// [`EstimatorKind::Exact`] and [`EstimatorKind::UpperBound`] return
 /// the worst-case model (no sampling pass); the sampling kinds run a
 /// deterministic stratified sample over flop-magnitude groups.
+/// Computes every row's flops and delegates to
+/// [`build_model_from_flops`] with a private scratch pool.
 pub fn build_model(a: &CsrView<'_>, b: &CsrMatrix, cfg: &EstimateConfig) -> EstModel {
     assert_eq!(a.n_cols(), b.n_rows(), "inner dimensions must agree");
+    let row_flops: Vec<u64> = (0..a.n_rows())
+        .map(|r| {
+            2 * a
+                .row_cols(r)
+                .iter()
+                .map(|&k| b.row_nnz(k as usize) as u64)
+                .sum::<u64>()
+        })
+        .collect();
+    build_model_from_flops(a, b, &row_flops, cfg, &ScratchPool::new())
+}
+
+/// [`build_model`] from precomputed per-row flops (`2 · Σ nnz(B_k*)`
+/// for each row of `a`, as row analysis computes them), measuring the
+/// sampled rows with scratch leased from `pool`.
+///
+/// This is the one sampler: the planner calls it on all of `A` and `B`
+/// to size the grid, and every speculative chunk calls it on its own A
+/// row panel and B column panel, so a chunk's allocation follows the
+/// compression of the panels it actually multiplies. Pooling only
+/// changes allocation reuse; the model is a pure function of the
+/// operands, the flops and `cfg`.
+pub fn build_model_from_flops(
+    a: &CsrView<'_>,
+    b: &CsrMatrix,
+    row_flops: &[u64],
+    cfg: &EstimateConfig,
+    pool: &ScratchPool,
+) -> EstModel {
+    assert_eq!(a.n_cols(), b.n_rows(), "inner dimensions must agree");
+    assert_eq!(row_flops.len(), a.n_rows(), "one flop count per row");
     match cfg.kind {
         EstimatorKind::Exact | EstimatorKind::UpperBound => EstModel {
             headroom: 1.0,
             ..EstModel::upper_bound()
         },
-        EstimatorKind::RowSample | EstimatorKind::HashSketch => sample_model(a, b, cfg),
+        EstimatorKind::RowSample | EstimatorKind::HashSketch => {
+            sample_model(a, b, row_flops, cfg, pool)
+        }
     }
 }
 
@@ -303,22 +338,22 @@ struct SampleMeasure {
     ratio: f64,
 }
 
-fn sample_model(a: &CsrView<'_>, b: &CsrMatrix, cfg: &EstimateConfig) -> EstModel {
+fn sample_model(
+    a: &CsrView<'_>,
+    b: &CsrMatrix,
+    row_flops: &[u64],
+    cfg: &EstimateConfig,
+    pool: &ScratchPool,
+) -> EstModel {
     let width = b.n_cols();
     // Bin rows by flop magnitude (zero-flop rows contribute nothing).
     let mut groups: Vec<Vec<u32>> = vec![Vec::new(); NUM_GROUPS];
-    for r in 0..a.n_rows() {
-        let products: u64 = a
-            .row_cols(r)
-            .iter()
-            .map(|&k| b.row_nnz(k as usize) as u64)
-            .sum();
-        if products > 0 {
-            groups[EstModel::group_of(2 * products)].push(r as u32);
+    for (r, &flops) in row_flops.iter().enumerate() {
+        if flops > 0 {
+            groups[EstModel::group_of(flops)].push(r as u32);
         }
     }
 
-    let pool = ScratchPool::new();
     let mut ratios = [BOUND_RATIO; NUM_GROUPS];
     let mut confidence = [1.0f64; NUM_GROUPS];
     let mut sampled_rows = 0usize;
@@ -338,16 +373,11 @@ fn sample_model(a: &CsrView<'_>, b: &CsrMatrix, cfg: &EstimateConfig) -> EstMode
             .par_iter()
             .map(|&i| {
                 let r = rows[i] as usize;
-                let products: u64 = a
-                    .row_cols(r)
-                    .iter()
-                    .map(|&k| b.row_nnz(k as usize) as u64)
-                    .sum();
                 let nnz = match cfg.kind {
                     EstimatorKind::HashSketch => sketch_row_nnz(a, b, r, width, cfg.seed) as u64,
                     _ => pool.with(|s| exact_row_nnz(s, a, b, r, width)) as u64,
                 };
-                let flops = 2 * products;
+                let flops = row_flops[r];
                 SampleMeasure {
                     flops,
                     nnz,
@@ -490,6 +520,7 @@ pub fn upper_bound_total(a: &CsrView<'_>, b: &CsrMatrix) -> usize {
 mod tests {
     use super::*;
     use sparse::gen::{erdos_renyi, grid2d_stencil, rmat, RmatConfig};
+    use sparse::partition::col::{even_col_ranges, ColPartitioner};
     use sparse::stats::{row_flops, symbolic_row_nnz};
 
     #[test]
@@ -559,6 +590,40 @@ mod tests {
             let m1 = build_model(&v, &a, &cfg);
             let m2 = build_model(&v, &a, &cfg);
             assert_eq!(m1, m2, "{kind:?} model must be reproducible");
+        }
+    }
+
+    #[test]
+    fn flops_based_sampler_equals_build_model() {
+        // The planner and every speculative chunk hand the sampler
+        // their own row flops and scratch pool; the model must be the
+        // one `build_model` computes from the operands alone, on the
+        // whole matrix and on a row panel against a column panel.
+        let a = rmat(RmatConfig::skewed(9, 6_000), 5);
+        let panel = CsrView::rows(&a, 100, 400);
+        let cols = even_col_ranges(&a, 3);
+        let panels = ColPartitioner::Cursor.partition(&a, &cols);
+        let b_panel = &panels[1].matrix;
+        let pool = ScratchPool::new();
+        for kind in [EstimatorKind::RowSample, EstimatorKind::HashSketch] {
+            let cfg = EstimateConfig {
+                kind,
+                ..EstimateConfig::default()
+            };
+            for (v, b) in [(CsrView::of(&a), &a), (panel, b_panel)] {
+                let flops: Vec<u64> = (0..v.n_rows())
+                    .map(|r| {
+                        2 * v
+                            .row_cols(r)
+                            .iter()
+                            .map(|&k| b.row_nnz(k as usize) as u64)
+                            .sum::<u64>()
+                    })
+                    .collect();
+                let from_flops = build_model_from_flops(&v, b, &flops, &cfg, &pool);
+                assert_eq!(from_flops, build_model(&v, b, &cfg), "{kind:?}");
+                assert!(from_flops.sampled_rows > 0);
+            }
         }
     }
 

@@ -53,7 +53,8 @@ pub mod sort;
 pub use counter::{DenseCounter, HashCounter, SymbolicCounter};
 pub use dense::DenseAccumulator;
 pub use estimate::{
-    build_model, row_upper_bounds, upper_bound_total, EstModel, EstimateConfig, EstimatorKind,
+    build_model, build_model_from_flops, row_upper_bounds, upper_bound_total, EstModel,
+    EstimateConfig, EstimatorKind,
 };
 pub use hash::HashAccumulator;
 pub use merge::MergeBuffer;

@@ -59,7 +59,7 @@ pub struct ChaosCell {
     pub host_faults: u64,
     /// Chunks demoted to the CPU.
     pub demotions: u64,
-    /// Grid-level re-plans under pressure.
+    /// Grid-level re-plans under capacity pressure.
     pub replans: u64,
 }
 

@@ -11,7 +11,7 @@ use crate::pipeline::{recovering_pass, ChunkAttempt, ChunkFailure};
 use crate::plan::{split_range_by_flops, PanelPlan, Planner};
 use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::Result;
-use accum::estimate::{EstModel, EstimatorKind};
+use accum::estimate::{EstimateConfig, EstimatorKind};
 use gpu_sim::{GpuSim, SimTime, Timeline};
 use gpu_spgemm::{phases, ChunkJob, PreparedChunk};
 use rayon::prelude::*;
@@ -35,12 +35,13 @@ pub struct PreparedGrid {
     /// Global per-row flop prefix sums from the planner, retained for
     /// recovery re-splitting.
     pub row_flops_prefix: Vec<u64>,
-    /// The calibrated estimator model when the grid was planned from
-    /// nnz(C) estimates instead of the exact symbolic pass; `None` for
-    /// exact plans. A `Some` here means every prepared chunk carries a
-    /// speculative descriptor and the executor runs the speculative
-    /// schedule.
-    pub est_model: Option<EstModel>,
+    /// The run's estimator configuration when the grid was planned
+    /// from nnz(C) estimates instead of the exact symbolic pass; `None`
+    /// for exact plans. A `Some` here means every prepared chunk
+    /// carries a speculative descriptor, sized by a model sampled from
+    /// that chunk's own panels, and the executor runs the speculative
+    /// schedule. The planner's global model sized the grid only.
+    pub estimator: Option<EstimateConfig>,
 }
 
 impl PreparedGrid {
@@ -82,19 +83,25 @@ impl PreparedGrid {
 
     /// Adds the prepared chunks, in row-major order. A grid planned
     /// from estimates gets the speculative descriptor attached to every
-    /// chunk — one shared post-pass for every preparation engine, so
-    /// their grids stay field-identical (the `prepare_equivalence`
-    /// suite covers `spec` too). The chunks' exact results are
-    /// untouched: speculation only changes how the simulation sizes and
-    /// schedules them.
-    pub(crate) fn with_chunks(mut self, a: &CsrMatrix, mut prepared: Vec<PreparedChunk>) -> Self {
-        if let Some(model) = &self.est_model {
+    /// chunk, each from a model sampled on its own panels with scratch
+    /// leased from `pool` — one shared post-pass for every preparation
+    /// engine, so their grids stay field-identical (the
+    /// `prepare_equivalence` suite covers `spec` too). The chunks'
+    /// exact results are untouched: speculation only changes how the
+    /// simulation sizes and schedules them.
+    pub(crate) fn with_chunks(
+        mut self,
+        a: &CsrMatrix,
+        mut prepared: Vec<PreparedChunk>,
+        pool: &accum::ScratchPool,
+    ) -> Self {
+        if let Some(cfg) = &self.estimator {
             let k_c = self.plan.col_panels();
             for (idx, chunk) in prepared.iter_mut().enumerate() {
                 let range = &self.plan.row_ranges[idx / k_c];
                 let a_panel = CsrView::rows(a, range.start, range.end);
                 let b_panel = &self.col_panels[idx % k_c].matrix;
-                phases::attach_speculation(chunk, &a_panel, b_panel, model);
+                phases::attach_speculation(chunk, &a_panel, b_panel, cfg, pool);
             }
         }
         self.prepared = prepared;
@@ -170,7 +177,7 @@ pub(crate) fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Res
         grid: ChunkGrid::compute(a, &plan, &col_panels),
         prepared: Vec::new(),
         row_flops_prefix: planner.row_flops_prefix().to_vec(),
-        est_model: planner.est_model().copied(),
+        estimator: planner.est_model().map(|_| config.estimator),
         plan,
         col_panels,
     })
@@ -225,7 +232,7 @@ pub fn prepare_grid_pooled(
         .into_iter()
         .map(|s| s.expect("every chunk prepared"))
         .collect();
-    Ok(pg.with_chunks(a, prepared))
+    Ok(pg.with_chunks(a, prepared, pool))
 }
 
 /// [`prepare_grid`] with the original serial chunk loop and the
@@ -249,7 +256,7 @@ pub fn prepare_grid_serial(
             }));
         }
     }
-    Ok(pg.with_chunks(a, prepared))
+    Ok(pg.with_chunks(a, prepared, &accum::ScratchPool::new()))
 }
 
 /// Simulates the chosen execution mode over an ordered chunk list and
@@ -325,7 +332,7 @@ pub(crate) fn run_on_device(
     let recovering = config.fault_plan.is_some()
         || config.host_faults.is_some()
         || config.budget.is_some()
-        || pg.est_model.is_some();
+        || pg.estimator.is_some();
     if recovering {
         return simulate_order_recovering(sim, a, pg, order, config);
     }
@@ -526,9 +533,11 @@ impl Recovery<'_> {
 /// planning, then demote everything to the CPU; if even CPU demotion
 /// cannot meet the deadline the run fails with
 /// [`crate::OocError::DeadlineExceeded`] carrying partial accounting.
-/// Sustained pressure (cumulative capacity shrink, repeated estimate
-/// overflows) re-plans the remaining grid in one batch instead of
-/// walking every chunk down the per-chunk re-split ladder.
+/// Sustained capacity pressure (cumulative shrink below 75 % of what
+/// the plan assumed) re-plans the remaining grid in one batch instead
+/// of walking every chunk down the per-chunk re-split ladder. Estimate
+/// overflows never re-plan: a grown chunk knows its exact size, so
+/// growing it and retrying is the whole recovery.
 fn simulate_order_recovering(
     mut sim: GpuSim,
     a: &CsrMatrix,
@@ -557,8 +566,7 @@ fn simulate_order_recovering(
     let mut degradations: Vec<DegradationEvent> = Vec::new();
     let mut rung: u8 = 0;
     let mut deadline_hit = false;
-    let mut replanned_capacity = false;
-    let mut replanned_overflow = false;
+    let mut replanned = false;
     let splittable = |w: &WorkItem| w.rows.len() > 1 && w.depth < policy.max_resplit_depth;
     let total_chunks = order.len();
     let mut pending: Vec<WorkItem> = order
@@ -739,17 +747,13 @@ fn simulate_order_recovering(
         }
 
         // --- Pressure-driven re-planning: cumulative capacity shrink
-        // or repeated estimate overflows signal *sustained* pressure;
-        // re-split every remaining multi-row item in one batch via the
-        // cached planner prefix sums instead of letting each chunk walk
-        // the per-chunk re-split ladder alone. Each trigger fires once.
+        // signals *sustained* pressure; re-split every remaining
+        // multi-row item in one batch via the cached planner prefix
+        // sums instead of letting each chunk walk the per-chunk
+        // re-split ladder alone. It fires at most once.
         let capacity_pressure = r.sim.memory().capacity() * 4 < planning_capacity * 3;
-        let overflow_pressure = r.report.estimate_overflows >= 3;
-        let fire = (capacity_pressure && !replanned_capacity)
-            || (overflow_pressure && !replanned_overflow);
-        if fire && next.iter().any(splittable) {
-            replanned_capacity |= capacity_pressure;
-            replanned_overflow |= overflow_pressure;
+        if capacity_pressure && !replanned && next.iter().any(splittable) {
+            replanned = true;
             r.report.replans += 1;
             degradations.push(DegradationEvent {
                 cause: DegradationCause::Replan,
@@ -797,23 +801,24 @@ fn simulate_order_recovering(
 }
 
 /// Estimator accuracy accounting for a run on a speculative grid
-/// (`None` for exact grids): per-chunk hit/miss against the estimated
-/// allocations, summed estimated vs actual output nonzeros, the
-/// applied headroom, and the grow-and-retry count from the recovery
-/// report. Shared by every executor that honors the estimator (async,
-/// hybrid, multi-GPU).
+/// (`None` for exact grids): the rows the chunk models sampled,
+/// per-chunk hit/miss against the estimated allocations, summed
+/// estimated vs actual output nonzeros, the applied headroom, and the
+/// grow-and-retry count from the recovery report. Shared by every
+/// executor that honors the estimator (async, hybrid, multi-GPU).
 pub(crate) fn estimator_stats(
-    config: &OocConfig,
     pg: &PreparedGrid,
     recovery: &RecoveryReport,
 ) -> Option<EstimatorStats> {
-    let model = pg.est_model.as_ref()?;
+    let cfg = pg.estimator.as_ref()?;
+    let mut sampled_rows = 0u64;
     let mut est_nnz = 0u64;
     let mut chunk_hits = 0u64;
     let mut chunk_misses = 0u64;
     let mut overflow_rows = 0u64;
     for p in &pg.prepared {
         if let Some(spec) = &p.spec {
+            sampled_rows += spec.sampled_rows;
             est_nnz += spec.est_nnz;
             overflow_rows += spec.row_overflows;
             if spec.overflowed(p.out_bytes) {
@@ -824,15 +829,15 @@ pub(crate) fn estimator_stats(
         }
     }
     Some(EstimatorStats {
-        kind: config.estimator.kind.name().to_string(),
-        sampled_rows: model.sampled_rows as u64,
+        kind: cfg.kind.name().to_string(),
+        sampled_rows,
         est_nnz,
         actual_nnz: pg.total_nnz(),
         chunk_hits,
         chunk_misses,
         overflow_rows,
         retries: recovery.estimate_overflows,
-        headroom: config.estimator.headroom,
+        headroom: cfg.headroom,
     })
 }
 
@@ -962,7 +967,7 @@ impl OutOfCoreGpu {
     pub fn multiply_prepared(&self, a: &CsrMatrix, pg: &PreparedGrid) -> Result<OocRun> {
         let order = execution_order(pg, &self.config);
         let mut run = run_on_device(a, pg, &order, &self.config)?;
-        run.metrics.estimator = estimator_stats(&self.config, pg, &run.recovery);
+        run.metrics.estimator = estimator_stats(pg, &run.recovery);
         debug_assert!(
             run.timeline.validate().is_ok(),
             "timeline invariants violated"

@@ -226,7 +226,7 @@ impl Hybrid {
         };
         recovery.merge(&gpu.recovery);
         let mut metrics = gpu.metrics;
-        metrics.estimator = estimator_stats(&self.config.gpu, pg, &recovery);
+        metrics.estimator = estimator_stats(pg, &recovery);
         let gpu_ns = gpu.sim_ns;
         let mut cpu_ns = cpu_worker_ns(pg, &assignment.cpu, &self.config.gpu, &mut recovery);
         if gpu_dead {
@@ -420,7 +420,7 @@ impl Hybrid {
             .enumerate()
             .map(|(idx, slot)| slot.unwrap_or_else(|| prepare(idx)))
             .collect();
-        let pg = pg.with_chunks(a, prepared);
+        let pg = pg.with_chunks(a, prepared, &scratch);
         self.run_prepared(a, &pg, gpu_dead, recovery)
     }
 

@@ -76,8 +76,9 @@ pub enum DegradationCause {
     /// Budget rung 3: remaining chunks demoted to the CPU at calibrated
     /// cost.
     DeadlineDemotion,
-    /// Sustained pressure (capacity shrink or repeated estimate
-    /// overflows) re-planned the remaining grid in one batch.
+    /// Sustained capacity pressure (device capacity shrunk below 75 %
+    /// of what the plan assumed) re-planned the remaining grid in one
+    /// batch.
     Replan,
 }
 
@@ -136,7 +137,8 @@ impl ChunkMetrics {
 pub struct EstimatorStats {
     /// Estimator kind name (`row-sample`, `hash-sketch`, `upper-bound`).
     pub kind: String,
-    /// Rows the model sampled while calibrating.
+    /// Rows sampled by the per-chunk models that sized the speculative
+    /// allocations, summed over the grid's chunks.
     pub sampled_rows: u64,
     /// Estimated total output nonzeros, summed over chunk estimates.
     pub est_nnz: u64,

@@ -270,7 +270,7 @@ pub fn multiply_multi_gpu(
     // Estimator accuracy is a property of the shared grid, not of one
     // device; report it once, on device 0, so `--json` consumers see it.
     if let Some(m0) = metrics.first_mut() {
-        m0.estimator = estimator_stats(&config.gpu, &pg, &recovery);
+        m0.estimator = estimator_stats(&pg, &recovery);
     }
     // The CPU worker, when present, is the last slot.
     let cpu_chunks = assignment

@@ -181,10 +181,13 @@ impl<'a> Planner<'a> {
     /// model, skipping the global symbolic pass entirely.
     ///
     /// Only the O(nnz(A)) row analysis runs for real; per-row output
-    /// sizes come from [`accum::estimate::build_model`], which probes
-    /// a `cfg.sample_rate` fraction of the rows. Planning cost drops
-    /// from O(flops) to O(nnz(A) + sampled flops). Plans sized this
-    /// way may under-provision chunks; the speculative executor
+    /// sizes come from [`accum::estimate::build_model_from_flops`] on
+    /// those flops, which probes a `cfg.sample_rate` fraction of the
+    /// rows. This global model sizes the grid only: the executor sizes
+    /// each speculative chunk's allocation from a model sampled on the
+    /// chunk's own panels. Planning cost drops from O(flops) to
+    /// O(nnz(A) + sampled flops). Plans sized this way may
+    /// under-provision chunks; the speculative executor
     /// recovers from that at run time (grow-and-retry, re-split,
     /// demote), so the product stays bit-identical to the
     /// [`Planner::plan_exact`] path.
@@ -199,7 +202,13 @@ impl<'a> Planner<'a> {
         }
         Self::check_dims(a, b)?;
         let row_flops = stats::row_flops(a, b);
-        let model = accum::estimate::build_model(&CsrView::of(a), b, cfg);
+        let model = accum::estimate::build_model_from_flops(
+            &CsrView::of(a),
+            b,
+            &row_flops,
+            cfg,
+            &accum::ScratchPool::new(),
+        );
         let est_rows = model.estimate_rows(&row_flops, b.n_cols());
         let mut row_est_prefix = Vec::with_capacity(a.n_rows() + 1);
         row_est_prefix.push(0u64);

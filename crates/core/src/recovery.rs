@@ -109,7 +109,8 @@ pub struct RecoveryReport {
     /// Host-allocation pressure stalls absorbed during recovery.
     pub host_alloc_faults: u64,
     /// Whole-grid re-plans of the remaining work under sustained
-    /// pressure (capacity shrink or repeated estimate overflows).
+    /// capacity pressure (device capacity shrunk below 75 % of what the
+    /// plan assumed). Estimate overflows grow and retry instead.
     pub replans: u64,
     /// Simulated time spent in backoff waits, ns.
     pub backoff_ns: SimTime,

@@ -1,5 +1,5 @@
-//! Run supervision tests: host fault domains, deadline budgets, and
-//! pressure-driven re-planning.
+//! Run supervision tests: host fault domains, deadline budgets,
+//! capacity-driven re-planning, and overflow recovery by growth.
 //!
 //! The contract under test: whatever combination of device faults,
 //! host faults, and deadline budgets a run is given, it either
@@ -169,13 +169,14 @@ fn capacity_collapse_triggers_replan_not_resplit_spiral() {
 }
 
 #[test]
-fn repeated_estimate_overflows_trigger_replan() {
+fn repeated_estimate_overflows_grow_without_replanning() {
     let a = erdos_renyi(500, 500, 0.03, 39);
     let clean = OutOfCoreGpu::new(base_config()).multiply(&a, &a).unwrap();
 
     // An aggressively under-allocating estimator overflows on chunk
-    // after chunk; after the third overflow the supervisor re-plans
-    // the remainder instead of growing one chunk at a time.
+    // after chunk. Each overflowed chunk learns its exact size, so it
+    // is grown and retried; however many overflow, the supervisor never
+    // re-plans the grid for them.
     let mut est = base_config().estimator;
     est.kind = oocgemm::EstimatorKind::RowSample;
     est.headroom = 0.3;
@@ -184,13 +185,22 @@ fn repeated_estimate_overflows_trigger_replan() {
         .unwrap();
 
     assert_eq!(run.c, clean.c);
-    if run.recovery.estimate_overflows >= 3 {
-        assert!(
-            run.recovery.replans > 0,
-            "3+ overflows should re-plan: {}",
-            run.recovery.summary()
-        );
-    }
+    assert!(
+        run.recovery.estimate_overflows > 0,
+        "headroom 0.3 must overflow: {}",
+        run.recovery.summary()
+    );
+    assert_eq!(
+        run.recovery.replans,
+        0,
+        "overflows must grow, not re-plan: {}",
+        run.recovery.summary()
+    );
+    assert!(!run
+        .metrics
+        .degradations
+        .iter()
+        .any(|d| d.cause == DegradationCause::Replan));
 }
 
 proptest! {

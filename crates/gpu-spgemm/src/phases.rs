@@ -8,7 +8,7 @@
 //! [`gpu_sim::CostModel`] needs to charge simulated durations.
 
 use crate::kernels::{numeric_by_groups, numeric_by_groups_with, NumericGroups};
-use accum::estimate::EstModel;
+use accum::estimate::{build_model_from_flops, EstimateConfig};
 use accum::{DenseCounter, HashCounter, ScratchPool, SymbolicCounter};
 use rayon::prelude::*;
 use sparse::{CsrMatrix, CsrView};
@@ -117,7 +117,7 @@ pub struct PreparedChunk {
     /// Bytes of the output chunk (col ids + values + offsets).
     pub out_bytes: u64,
     /// Speculative-execution descriptors, present when the chunk was
-    /// prepared under an estimation model (see [`attach_speculation`]).
+    /// prepared under an estimator (see [`attach_speculation`]).
     /// `None` chunks follow the exact symbolic schedule.
     pub spec: Option<SpeculativeInfo>,
 }
@@ -144,6 +144,8 @@ pub struct SpeculativeInfo {
     /// Flops per numeric kernel launch when rows are grouped by their
     /// *estimated* sizes — the launches a speculative run performs.
     pub est_group_flops: Vec<u64>,
+    /// Rows the chunk's estimation model sampled.
+    pub sampled_rows: u64,
 }
 
 impl SpeculativeInfo {
@@ -271,23 +273,32 @@ fn finish_chunk(
 }
 
 /// Attaches speculative-execution descriptors to a prepared chunk,
-/// derived from the estimation `model`.
+/// sized by an estimation model sampled from the chunk's own panels.
 ///
-/// Deliberately a post-pass over the finished chunk (rather than a
-/// variant of the prepare engines): it recomputes per-row flops from
-/// the panels and reads actual row sizes from the exact result, so the
-/// same helper serves the pooled-parallel and serial oracle engines
-/// and provably cannot perturb the chunk's real product. Deterministic
-/// given the model, the panels, and nothing else.
+/// Row analysis runs once; its flops feed both the chunk's model
+/// ([`build_model_from_flops`] on `a_panel` against `b_panel`, scratch
+/// leased from `pool`) and the per-row estimates. A model sampled per
+/// chunk sees compression that depends on the column panel — a web
+/// crawl's diagonal panel compresses far more than its off-diagonal
+/// ones — which one model sampled over full-width rows cannot.
+///
+/// The estimate reads only the panels, never the chunk's result, so it
+/// is what a device could compute before the product exists. A
+/// post-pass over the finished chunk (rather than a variant of the
+/// prepare engines), it cannot perturb the real product; the result is
+/// read afterwards only to count rows whose estimate fell short.
+/// Deterministic given `cfg`, the panels, and nothing else.
 pub fn attach_speculation(
     chunk: &mut PreparedChunk,
     a_panel: &CsrView<'_>,
     b_panel: &CsrMatrix,
-    model: &EstModel,
+    cfg: &EstimateConfig,
+    pool: &ScratchPool,
 ) {
     let rows = a_panel.n_rows();
     debug_assert_eq!(rows, chunk.rows);
     let row_flops = row_analysis(a_panel, b_panel);
+    let model = build_model_from_flops(a_panel, b_panel, &row_flops, cfg, pool);
     let est_rows = model.estimate_rows(&row_flops, b_panel.n_cols());
     let est_nnz: u64 = est_rows.iter().map(|&n| n as u64).sum();
     let offsets = chunk.result.row_offsets();
@@ -300,6 +311,7 @@ pub fn attach_speculation(
         est_out_bytes: est_nnz * BYTES_PER_NNZ + (rows as u64 + 1) * 8,
         row_overflows,
         est_group_flops: est_groups.group_flops,
+        sampled_rows: model.sampled_rows as u64,
     });
 }
 
@@ -642,13 +654,15 @@ mod tests {
         let exact = prepare_chunk(job);
         let mut spec1 = exact.clone();
         let mut spec2 = exact.clone();
-        let model =
-            accum::estimate::build_model(&av, &b, &accum::estimate::EstimateConfig::default());
-        attach_speculation(&mut spec1, &av, &b, &model);
-        attach_speculation(&mut spec2, &av, &b, &model);
+        let cfg = EstimateConfig::default();
+        // A warm pool and a cold one give the same descriptor.
+        let pool = ScratchPool::new();
+        attach_speculation(&mut spec1, &av, &b, &cfg, &pool);
+        attach_speculation(&mut spec2, &av, &b, &cfg, &ScratchPool::new());
         assert_eq!(spec1.spec, spec2.spec);
         let s = spec1.spec.as_ref().unwrap();
         assert!(s.est_nnz > 0);
+        assert!(s.sampled_rows > 0, "the chunk's own model samples its rows");
         assert_eq!(s.est_out_bytes, s.est_nnz * 12 + 61 * 8);
         // The real product is untouched.
         spec1.spec = None;
@@ -664,9 +678,13 @@ mod tests {
             b_panel: &b,
             chunk_id: 0,
         });
-        let model = EstModel::upper_bound();
-        attach_speculation(&mut p, &av, &b, &model);
+        let cfg = EstimateConfig {
+            kind: accum::EstimatorKind::UpperBound,
+            ..EstimateConfig::default()
+        };
+        attach_speculation(&mut p, &av, &b, &cfg, &ScratchPool::new());
         let s = p.spec.as_ref().unwrap();
+        assert_eq!(s.sampled_rows, 0, "the bound samples nothing");
         assert!(!s.overflowed(p.out_bytes));
         assert_eq!(s.row_overflows, 0);
         assert!(s.est_nnz >= p.nnz);
@@ -682,10 +700,12 @@ mod tests {
             chunk_id: 0,
         });
         // Force gross under-allocation, then grow.
-        let mut model =
-            accum::estimate::build_model(&av, &b, &accum::estimate::EstimateConfig::default());
-        model.headroom = 0.01;
-        attach_speculation(&mut p, &av, &b, &model);
+        let cfg = EstimateConfig {
+            headroom: 0.01,
+            ..EstimateConfig::default()
+        };
+        attach_speculation(&mut p, &av, &b, &cfg, &ScratchPool::new());
+        assert!(p.spec.as_ref().unwrap().overflowed(p.out_bytes));
         let g = p.grown();
         let s = g.spec.as_ref().unwrap();
         assert!(!s.overflowed(g.out_bytes));
