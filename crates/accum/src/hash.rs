@@ -177,7 +177,7 @@ mod tests {
     }
 
     /// The old flush path, preserved verbatim as the equivalence oracle
-    /// for the in-place co-sort (also exercised by `benches/chunk_prep`).
+    /// for the in-place co-sort.
     fn flush_into_reference(a: &mut HashAccumulator, cols: &mut Vec<ColId>, vals: &mut Vec<f64>) {
         let start = cols.len();
         for (i, &k) in a.keys.iter().enumerate() {

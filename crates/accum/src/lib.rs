@@ -58,7 +58,7 @@ pub use estimate::{
 };
 pub use hash::HashAccumulator;
 pub use merge::MergeBuffer;
-pub use scratch::{select_accumulator, RowScratch, ScratchPool, DENSE_WIDTH_LIMIT};
+pub use scratch::{RowScratch, ScratchPool, DENSE_WIDTH_LIMIT};
 pub use sort::{co_sort_pairs, SortAccumulator};
 
 use sparse::ColId;
@@ -88,47 +88,13 @@ pub trait Accumulator {
     fn clear(&mut self);
 }
 
-/// Which accumulator the numeric phase should use for a row group —
-/// the spECK-style selection the paper adopts ("we use dense
-/// accumulation for dense rows and the hashmap methods for sparse
-/// rows", Section III-B).
+/// Which accumulator a numeric row is accumulated with. Both produce
+/// the same sorted row; `cpu_spgemm::parallel_hash` picks one for a
+/// whole product by the width of `B` ([`DENSE_WIDTH_LIMIT`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AccumulatorKind {
     /// Dense array accumulation.
     Dense,
     /// Hash-map accumulation.
     Hash,
-}
-
-/// Chooses an accumulator for a row with `max_row_nnz` estimated output
-/// entries in a panel `width` columns wide.
-///
-/// The dense array costs `O(width)` memory and `O(touched)` time; it
-/// wins when the row is expected to fill a reasonable fraction of the
-/// panel. The `1/16` threshold follows the density cutoffs used by
-/// dense-vs-hash selections in the literature; the bench crate ablates
-/// it.
-pub fn choose_accumulator(estimated_row_nnz: usize, width: usize) -> AccumulatorKind {
-    if width == 0 {
-        return AccumulatorKind::Hash;
-    }
-    if estimated_row_nnz.saturating_mul(16) >= width {
-        AccumulatorKind::Dense
-    } else {
-        AccumulatorKind::Hash
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn choose_accumulator_density_cutoff() {
-        assert_eq!(choose_accumulator(64, 1024), AccumulatorKind::Dense);
-        assert_eq!(choose_accumulator(63, 1024), AccumulatorKind::Hash);
-        assert_eq!(choose_accumulator(0, 1024), AccumulatorKind::Hash);
-        assert_eq!(choose_accumulator(10, 0), AccumulatorKind::Hash);
-        assert_eq!(choose_accumulator(usize::MAX, 1024), AccumulatorKind::Dense);
-    }
 }

@@ -1,14 +1,13 @@
 //! Worker-scoped reusable scratch for the SpGEMM phases.
 //!
-//! Every chunk preparation used to allocate its symbolic counters,
-//! numeric accumulators, and per-row staging vectors from scratch —
-//! width-sized arrays per chunk, three vectors per hash-row flush. At
-//! steady state those allocations dominate small-chunk compute. This
-//! module centralizes the scratch in a [`RowScratch`] bundle that a
-//! [`ScratchPool`] lends to workers: the first few rows warm a
-//! worker's scratch up to its high-water capacity, after which row and
-//! chunk compute performs **zero heap allocation** (asserted by the
-//! counting-allocator test in `gpu-spgemm/tests/alloc_free.rs`).
+//! Symbolic counters, numeric accumulators and per-row staging vectors
+//! are width-sized or grow with the row; allocating them per chunk
+//! would dominate small-chunk compute. This module keeps them in a
+//! [`RowScratch`] bundle that a [`ScratchPool`] lends to workers: the
+//! first few rows warm a worker's scratch up to its high-water
+//! capacity, after which row compute performs **zero heap allocation**
+//! (asserted by the counting-allocator test in
+//! `cpu-spgemm/tests/alloc_free.rs`).
 //!
 //! Reuse is safe for bit-identical results: dense counters and
 //! accumulators are generation-stamped (stale slots read as untouched),
@@ -17,29 +16,15 @@
 
 use crate::counter::SymbolicCounter;
 use crate::{
-    choose_accumulator, Accumulator, AccumulatorKind, DenseAccumulator, DenseCounter,
-    HashAccumulator, HashCounter,
+    Accumulator, AccumulatorKind, DenseAccumulator, DenseCounter, HashAccumulator, HashCounter,
 };
 use sparse::ColId;
 use std::sync::Mutex;
 
 /// Panel width above which symbolic counting and numeric accumulation
 /// switch from dense stamp arrays to hashing (dense arrays up to this
-/// size still fit comfortably in L2 — the Patwary argument; both the
-/// GPU-phase engine and the CPU baseline use the same cutoff).
+/// size still fit comfortably in L2 — the Patwary argument).
 pub const DENSE_WIDTH_LIMIT: usize = 1 << 17;
-
-/// Selects the numeric accumulator for a row with `expected` output
-/// entries in a panel `width` columns wide, honoring
-/// [`DENSE_WIDTH_LIMIT`].
-#[inline]
-pub fn select_accumulator(expected: usize, width: usize) -> AccumulatorKind {
-    if width <= DENSE_WIDTH_LIMIT {
-        choose_accumulator(expected, width)
-    } else {
-        AccumulatorKind::Hash
-    }
-}
 
 /// One worker's reusable scratch: symbolic counters, numeric
 /// accumulators, row staging buffers, and per-chunk row arrays.
@@ -56,8 +41,8 @@ pub struct RowScratch {
     /// Reusable per-row `u64` buffer (chunk preparation keeps row flop
     /// counts here).
     pub flops_buf: Vec<u64>,
-    /// Reusable per-row `usize` buffer (chunk preparation keeps
-    /// symbolic row sizes here).
+    /// Reusable per-row `usize` buffer (chunk preparation keeps the
+    /// product's row sizes here).
     pub nnz_buf: Vec<usize>,
 }
 
@@ -109,9 +94,8 @@ impl RowScratch {
     /// Accumulates one numeric row from a stream of `(col, val)`
     /// products and writes the sorted result into the caller's exact
     /// output slices (`out_c.len() == out_v.len() ==` the row's
-    /// symbolic size), accumulating with `kind` — the caller's policy:
-    /// the GPU-phase engine passes [`select_accumulator`], the CPU
-    /// baseline picks by `width` alone.
+    /// symbolic size), accumulating with `kind`, which the caller picks
+    /// (`cpu_spgemm::parallel_hash` picks by `width` alone).
     ///
     /// Allocation-free at steady state: the accumulators and staging
     /// vectors retain their high-water capacity across rows and chunks.

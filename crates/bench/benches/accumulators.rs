@@ -39,7 +39,8 @@ fn run<A: Accumulator>(
 fn bench_accumulators(c: &mut Criterion) {
     let mut group = c.benchmark_group("accumulators");
     // (products, distinct): sparse rows favour the hash map, dense rows
-    // the dense array — the spECK selection rule this library adopts.
+    // the dense array — spECK's per-row density rule. The library's one
+    // kernel picks by panel width instead (DESIGN.md §15).
     for &(products, distinct) in &[(256usize, 64usize), (4096, 512), (32768, 8192)] {
         let seq = sequence(products, distinct, 42);
         group.throughput(Throughput::Elements(products as u64));

@@ -79,7 +79,7 @@ fn parse_args() -> Args {
             "--soak" => soak = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: repro [all|table1|table2|table3|fig4|fig7|fig8|fig9|fig10|phases|planner|prep|estimate|chaos|serve]... \
+                    "usage: repro [all|table1|table2|table3|fig4|fig7|fig8|fig9|fig10|phases|planner|estimate|chaos|serve]... \
                      [--scale tiny|small|medium] [--only ABBR[,ABBR...]] [--out DIR] \
                      [--seed N] [--iters K] [--soak]\n\
                      chaos and serve are not part of 'all'; ask for them by name. \
@@ -244,31 +244,6 @@ fn main() {
             bench::planner_bench::to_json(&rows),
         )
         .expect("write BENCH_planner.json");
-    }
-
-    if wants(&args, "prep") {
-        println!("## Chunk preparation: serial vs parallel scratch-pooled engine\n");
-        eprintln!(
-            "[{:6.1}s] running chunk-prep benchmark...",
-            t0.elapsed().as_secs_f64()
-        );
-        let rows = bench::chunk_prep_bench::run_all();
-        println!("{}", bench::chunk_prep_bench::table(&rows));
-        std::fs::write(
-            args.out.join("BENCH_chunk_prep.json"),
-            bench::chunk_prep_bench::to_json(&rows),
-        )
-        .expect("write BENCH_chunk_prep.json");
-
-        println!("## CPU calibration: measured host vs frozen paper constants\n");
-        eprintln!(
-            "[{:6.1}s] measuring cpu kernel calibration...",
-            t0.elapsed().as_secs_f64()
-        );
-        let cal = bench::cpu_calibration::run();
-        println!("{}", cal.table());
-        std::fs::write(args.out.join("BENCH_cpu_calibration.json"), cal.to_json())
-            .expect("write BENCH_cpu_calibration.json");
     }
 
     if wants(&args, "estimate") {

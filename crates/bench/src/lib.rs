@@ -13,8 +13,6 @@
 //! paper's runs solve.
 
 pub mod chaos;
-pub mod chunk_prep_bench;
-pub mod cpu_calibration;
 pub mod estimate_bench;
 pub mod experiments;
 pub mod planner_bench;

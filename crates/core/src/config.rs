@@ -58,13 +58,6 @@ pub struct OocConfig {
     /// paper uses 2 (double buffering); deeper pipelines trade device
     /// memory for slack in hiding host-side gaps.
     pub pipeline_depth: usize,
-    /// Cap on how many chunks the parallel grid preparation
-    /// materializes concurrently (`None` = the whole grid at once).
-    /// Each in-flight chunk holds its full output in host memory while
-    /// it is prepared, so huge grids on small hosts may want a bound;
-    /// the cap never changes results, only peak memory and overlap.
-    /// Must be positive when set.
-    pub prepare_parallelism: Option<usize>,
     /// Deterministic fault schedule. `Some` routes the run through the
     /// self-healing pipeline (retries, re-splits, CPU demotion); the
     /// assembled output stays bit-identical to the fault-free run.
@@ -118,7 +111,6 @@ impl OocConfig {
             col_partitioner: ColPartitioner::ParallelPrefixSum,
             pinned: true,
             pipeline_depth: 2,
-            prepare_parallelism: None,
             fault_plan: None,
             recovery: RecoveryPolicy::default(),
             estimator: EstimateConfig::default(),
@@ -142,12 +134,6 @@ impl OocConfig {
     /// Enables/disables flop-descending chunk reordering.
     pub fn reorder(mut self, on: bool) -> Self {
         self.reorder_chunks = on;
-        self
-    }
-
-    /// Caps how many chunks grid preparation materializes at once.
-    pub fn prepare_parallelism(mut self, cap: usize) -> Self {
-        self.prepare_parallelism = Some(cap);
         self
     }
 
@@ -220,11 +206,6 @@ impl OocConfig {
         if self.pipeline_depth < 2 {
             return Err(crate::OocError::Config(
                 "the async pipeline needs at least 2 buffer epochs".into(),
-            ));
-        }
-        if self.prepare_parallelism == Some(0) {
-            return Err(crate::OocError::Config(
-                "prepare_parallelism must be positive".into(),
             ));
         }
         if !(self.estimator.sample_rate > 0.0 && self.estimator.sample_rate <= 1.0) {
@@ -432,8 +413,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = OocConfig::paper_default().panels(0, 3);
         assert!(c.validate().is_err());
-        let c = OocConfig::paper_default().prepare_parallelism(0);
-        assert!(c.validate().is_err());
         let c = OocConfig::paper_default().sample_rate(0.0);
         assert!(c.validate().is_err());
         let c = OocConfig::paper_default().sample_rate(1.5);
@@ -445,10 +424,6 @@ mod tests {
         // Sub-1 headroom is legal at the library level: it forces the
         // overflow-recovery path.
         assert!(OocConfig::paper_default().headroom(0.5).validate().is_ok());
-        assert!(OocConfig::paper_default()
-            .prepare_parallelism(1)
-            .validate()
-            .is_ok());
         let h = HybridConfig::paper_default().ratio(-0.1);
         assert!(h.validate().is_err());
     }

@@ -84,11 +84,10 @@ impl PreparedGrid {
     /// Adds the prepared chunks, in row-major order. A grid planned
     /// from estimates gets the speculative descriptor attached to every
     /// chunk, each from a model sampled on its own panels with scratch
-    /// leased from `pool` — one shared post-pass for every preparation
-    /// engine, so their grids stay field-identical (the
-    /// `prepare_equivalence` suite covers `spec` too). The chunks'
-    /// exact results are untouched: speculation only changes how the
-    /// simulation sizes and schedules them.
+    /// leased from `pool` — one post-pass shared by `prepare_grid` and
+    /// the threaded hybrid, so their grids stay field-identical. The
+    /// chunks' exact results are untouched: speculation only changes
+    /// how the simulation sizes and schedules them.
     pub(crate) fn with_chunks(
         mut self,
         a: &CsrMatrix,
@@ -187,17 +186,13 @@ pub(crate) fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Res
 ///
 /// Chunk preparation — the host-side hot path — runs in parallel over
 /// the whole grid: every chunk is a pure function of its A row panel
-/// and B column panel, so each rayon worker writes its finished
-/// [`PreparedChunk`] into a pre-sized slot and the assembled vector is
-/// bit-identical to [`prepare_grid_serial`]'s, in the same row-major
-/// order (the `prepare_equivalence` suite asserts this field by
-/// field). Workers share one [`accum::ScratchPool`], and chunks whose
-/// B panel spans all of B reuse the planner's cached flop prefix
-/// instead of re-running row analysis.
-///
-/// [`OocConfig::prepare_parallelism`] caps how many chunks
-/// materialize concurrently (wave by wave), bounding peak host memory
-/// on huge grids.
+/// and B column panel, and the order-preserving collect places chunk
+/// `i` at `prepared[i]` (row-major) whatever order the workers finish
+/// in. Workers share one [`accum::ScratchPool`], and chunks whose B
+/// panel spans all of B reuse the planner's cached flop prefix instead
+/// of re-running row analysis. The `prepare_equivalence` suite checks
+/// every chunk, field by field, against an oracle built from the
+/// sequential reference product.
 pub fn prepare_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PreparedGrid> {
     prepare_grid_pooled(a, b, config, &accum::ScratchPool::new())
 }
@@ -214,49 +209,11 @@ pub fn prepare_grid_pooled(
     pool: &accum::ScratchPool,
 ) -> Result<PreparedGrid> {
     let pg = plan_grid(a, b, config)?;
-    let n = pg.plan.num_chunks();
-    let mut slots: Vec<Option<PreparedChunk>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let cap = config.prepare_parallelism.unwrap_or(n).max(1);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + cap).min(n);
-        let base = start;
-        slots[start..end]
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, slot)| *slot = Some(pg.prepare_chunk(a, base + i, pool)));
-        start = end;
-    }
-    let prepared = slots
-        .into_iter()
-        .map(|s| s.expect("every chunk prepared"))
+    let prepared = (0..pg.plan.num_chunks())
+        .into_par_iter()
+        .map(|i| pg.prepare_chunk(a, i, pool))
         .collect();
     Ok(pg.with_chunks(a, prepared, pool))
-}
-
-/// [`prepare_grid`] with the original serial chunk loop and the
-/// pre-parallel per-chunk engine, retained as the equivalence oracle
-/// and the bench baseline.
-pub fn prepare_grid_serial(
-    a: &CsrMatrix,
-    b: &CsrMatrix,
-    config: &OocConfig,
-) -> Result<PreparedGrid> {
-    let pg = plan_grid(a, b, config)?;
-    let k_c = pg.plan.col_panels();
-    let mut prepared = Vec::with_capacity(pg.plan.num_chunks());
-    for (r, range) in pg.plan.row_ranges.iter().enumerate() {
-        let a_view = CsrView::rows(a, range.start, range.end);
-        for (c, panel) in pg.col_panels.iter().enumerate() {
-            prepared.push(phases::prepare_chunk_serial(ChunkJob {
-                a_panel: a_view,
-                b_panel: &panel.matrix,
-                chunk_id: r * k_c + c,
-            }));
-        }
-    }
-    Ok(pg.with_chunks(a, prepared, &accum::ScratchPool::new()))
 }
 
 /// Simulates the chosen execution mode over an ordered chunk list and

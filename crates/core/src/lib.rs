@@ -67,8 +67,7 @@ pub use config::{ExecMode, HybridConfig, OocConfig, SchedulerKind, DEFAULT_GPU_R
 pub use cpu_spgemm::CpuKernel;
 pub use error::OocError;
 pub use executor::{
-    prepare_grid, prepare_grid_pooled, prepare_grid_serial, ChainedRun, OocRun, OutOfCoreGpu,
-    PreparedGrid,
+    prepare_grid, prepare_grid_pooled, ChainedRun, OocRun, OutOfCoreGpu, PreparedGrid,
 };
 pub use faults::{HostFaultKind, HostFaultPlan, HostFaultState, HostFaultStats};
 pub use gpu_sim::FaultPlan;

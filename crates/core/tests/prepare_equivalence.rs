@@ -1,78 +1,114 @@
-//! Pins the parallel, scratch-pooled grid preparation to the serial
-//! engine it replaced: for any input and panel grid, `prepare_grid`
-//! must produce **bit-identical** `PreparedChunk`s — every descriptor
-//! field, the group structures, and the raw f64 bit patterns of the
-//! chunk results — in the same row-major slot order as
-//! `prepare_grid_serial`, regardless of the in-flight-chunk cap.
+//! Pins grid preparation to an independent, serial oracle: for any
+//! input and panel grid, chunk `i` of `prepare_grid` (row-major) must
+//! hold the sequential reference product of its panels
+//! (`reference::multiply` on the A row panel times the B column panel)
+//! **bit for bit**, and descriptors rebuilt from the `sparse::stats`
+//! row counts: both row groupings, flops, nnz, the compression ratio,
+//! and every byte size.
 //!
-//! Why this can hold exactly (DESIGN.md §11): chunk content is a pure
-//! function of its panels; per-row product accumulation order is
-//! unchanged by row-level parallelism; hash flushes sort distinct
-//! columns, so pooled accumulator capacity is invisible; and dense
-//! scratch is generation-stamped, so reuse across panels of different
-//! widths is invisible.
+//! Why the product can match exactly (DESIGN.md §11): chunk content is
+//! a pure function of its panels; every accumulator adds a column's
+//! products in the same order as Gustavson's loop (`k` ascending over
+//! A's row); hash flushes sort distinct columns, so pooled table
+//! capacity is invisible; and dense scratch is generation-stamped, so
+//! reuse across panels of different widths is invisible — which the
+//! warm-pool test below checks on `spec` too.
 
-use gpu_spgemm::PreparedChunk;
-use oocgemm::{prepare_grid, prepare_grid_serial, OocConfig, PreparedGrid};
+use cpu_spgemm::reference;
+use gpu_spgemm::{NumericGroups, PreparedChunk, RowGroups};
+use oocgemm::{prepare_grid, prepare_grid_pooled, OocConfig, PreparedGrid};
 use proptest::prelude::*;
 use sparse::gen::{erdos_renyi, grid2d_stencil, rmat, RmatConfig};
-use sparse::{CooMatrix, CsrMatrix};
+use sparse::{stats, CooMatrix, CsrMatrix};
 
-fn assert_chunks_identical(got: &PreparedChunk, expect: &PreparedChunk, ctx: &str) {
-    assert_eq!(got.chunk_id, expect.chunk_id, "{ctx}: chunk_id");
-    assert_eq!(
-        got.result.row_offsets(),
-        expect.result.row_offsets(),
-        "{ctx}: offsets"
-    );
-    assert_eq!(got.result.col_ids(), expect.result.col_ids(), "{ctx}: cols");
-    let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&got.result),
-        bits(&expect.result),
-        "{ctx}: values must be bit-identical"
-    );
-    assert_eq!(got.groups, expect.groups, "{ctx}: row groups");
-    assert_eq!(
-        got.numeric_groups, expect.numeric_groups,
-        "{ctx}: numeric groups"
-    );
-    assert_eq!(got.flops, expect.flops, "{ctx}: flops");
-    assert_eq!(got.nnz, expect.nnz, "{ctx}: nnz");
-    assert_eq!(
-        got.compression_ratio.to_bits(),
-        expect.compression_ratio.to_bits(),
-        "{ctx}: compression ratio"
-    );
-    assert_eq!(got.rows, expect.rows, "{ctx}: rows");
-    assert_eq!(got.a_nnz, expect.a_nnz, "{ctx}: a_nnz");
-    assert_eq!(got.a_bytes, expect.a_bytes, "{ctx}: a_bytes");
-    assert_eq!(got.b_bytes, expect.b_bytes, "{ctx}: b_bytes");
-    assert_eq!(got.row_info_bytes, expect.row_info_bytes, "{ctx}: row_info");
-    assert_eq!(got.row_nnz_bytes, expect.row_nnz_bytes, "{ctx}: row_nnz");
-    assert_eq!(got.out_bytes, expect.out_bytes, "{ctx}: out_bytes");
+fn bits(m: &CsrMatrix) -> Vec<u64> {
+    m.values().iter().map(|v| v.to_bits()).collect()
 }
 
-fn assert_grids_identical(par: &PreparedGrid, ser: &PreparedGrid) {
-    assert_eq!(par.plan.row_ranges, ser.plan.row_ranges);
-    assert_eq!(par.plan.col_ranges, ser.plan.col_ranges);
-    assert_eq!(par.row_flops_prefix, ser.row_flops_prefix);
-    assert_eq!(par.prepared.len(), ser.prepared.len());
-    for (i, (p, s)) in par.prepared.iter().zip(&ser.prepared).enumerate() {
-        assert_chunks_identical(p, s, &format!("chunk {i}"));
+/// Chunk `got` against the oracle for the product of `a_panel` and
+/// `b_panel`.
+fn assert_chunk_matches_oracle(
+    got: &PreparedChunk,
+    a_panel: &CsrMatrix,
+    b_panel: &CsrMatrix,
+    ctx: &str,
+) {
+    let expect = reference::multiply(a_panel, b_panel).expect("panels agree");
+    assert_eq!(
+        got.result.row_offsets(),
+        expect.row_offsets(),
+        "{ctx}: offsets"
+    );
+    assert_eq!(got.result.col_ids(), expect.col_ids(), "{ctx}: cols");
+    assert_eq!(
+        bits(&got.result),
+        bits(&expect),
+        "{ctx}: values must be bit-identical"
+    );
+
+    let row_flops = stats::row_flops(a_panel, b_panel);
+    let row_nnz = stats::symbolic_row_nnz(a_panel, b_panel);
+    let flops: u64 = row_flops.iter().sum();
+    let nnz = row_nnz.iter().sum::<usize>() as u64;
+    let rows = a_panel.n_rows() as u64;
+    assert_eq!(
+        got.groups,
+        RowGroups::from_row_flops(&row_flops),
+        "{ctx}: row groups"
+    );
+    assert_eq!(
+        got.numeric_groups,
+        NumericGroups::from_row_nnz(&row_nnz, &row_flops),
+        "{ctx}: numeric groups"
+    );
+    assert_eq!(got.flops, flops, "{ctx}: flops");
+    assert_eq!(got.nnz, nnz, "{ctx}: nnz");
+    let ratio = if nnz == 0 {
+        1.0
+    } else {
+        flops as f64 / nnz as f64
+    };
+    assert_eq!(
+        got.compression_ratio.to_bits(),
+        ratio.to_bits(),
+        "{ctx}: compression ratio"
+    );
+    assert_eq!(got.rows as u64, rows, "{ctx}: rows");
+    assert_eq!(got.a_nnz, a_panel.nnz() as u64, "{ctx}: a_nnz");
+    assert_eq!(
+        got.a_bytes,
+        a_panel.storage_bytes() as u64,
+        "{ctx}: a_bytes"
+    );
+    assert_eq!(
+        got.b_bytes,
+        b_panel.storage_bytes() as u64,
+        "{ctx}: b_bytes"
+    );
+    assert_eq!(got.row_info_bytes, rows * 8, "{ctx}: row_info");
+    assert_eq!(got.row_nnz_bytes, rows * 8, "{ctx}: row_nnz");
+    assert_eq!(got.out_bytes, nnz * 12 + (rows + 1) * 8, "{ctx}: out_bytes");
+}
+
+fn assert_grid_matches_oracle(pg: &PreparedGrid, a: &CsrMatrix) {
+    let k_c = pg.plan.col_panels();
+    assert_eq!(pg.prepared.len(), pg.plan.row_ranges.len() * k_c);
+    for (i, chunk) in pg.prepared.iter().enumerate() {
+        let range = &pg.plan.row_ranges[i / k_c];
+        let a_panel = a.slice_rows(range.start, range.end);
+        let b_panel = &pg.col_panels[i % k_c].matrix;
+        assert_eq!(chunk.chunk_id, i, "chunk {i}: chunk_id");
+        assert_chunk_matches_oracle(chunk, &a_panel, b_panel, &format!("chunk {i}"));
     }
+}
+
+fn config(row_panels: usize, col_panels: usize) -> OocConfig {
+    OocConfig::with_device_memory(64 << 20).panels(row_panels, col_panels)
 }
 
 fn check(a: &CsrMatrix, b: &CsrMatrix, row_panels: usize, col_panels: usize) {
-    let cfg = OocConfig::with_device_memory(64 << 20).panels(row_panels, col_panels);
-    let ser = prepare_grid_serial(a, b, &cfg).expect("serial grid");
-    let par = prepare_grid(a, b, &cfg).expect("parallel grid");
-    assert_grids_identical(&par, &ser);
-    // The in-flight cap changes scheduling only, never results.
-    for cap in [1usize, 2] {
-        let capped = prepare_grid(a, b, &cfg.clone().prepare_parallelism(cap)).expect("capped");
-        assert_grids_identical(&capped, &ser);
-    }
+    let pg = prepare_grid(a, b, &config(row_panels, col_panels)).expect("grid");
+    assert_grid_matches_oracle(&pg, a);
 }
 
 #[test]
@@ -106,6 +142,49 @@ fn degenerate_shapes_match_serial() {
     let sparse_rows = coo.to_csr();
     check(&sparse_rows, &sparse_rows, 3, 2);
     check(&sparse_rows, &sparse_rows, 2, 1);
+}
+
+#[test]
+fn warm_pool_across_widths_changes_no_field() {
+    // The service's use: one long-lived pool prepares products of
+    // different widths in turn. Each grid must equal a cold-pool
+    // preparation in every field, the speculative descriptor included.
+    let rm = rmat(RmatConfig::skewed(10, 12000), 5);
+    let er = erdos_renyi(1024, 700, 0.01, 6);
+    let st = grid2d_stencil(20, 20, 2, 7);
+    let jobs = [(&rm, &rm, 2, 2), (&rm, &er, 1, 3), (&st, &st, 2, 1)];
+    let pool = accum::ScratchPool::new();
+    for _ in 0..2 {
+        for &(a, b, r, c) in &jobs {
+            let cfg = config(r, c);
+            let warm = prepare_grid_pooled(a, b, &cfg, &pool).expect("warm grid");
+            let cold = prepare_grid(a, b, &cfg).expect("cold grid");
+            assert!(warm.estimator.is_some(), "the default config speculates");
+            assert_eq!(warm.plan.row_ranges, cold.plan.row_ranges);
+            assert_eq!(warm.plan.col_ranges, cold.plan.col_ranges);
+            assert_eq!(warm.prepared.len(), cold.prepared.len());
+            for (w, c) in warm.prepared.iter().zip(&cold.prepared) {
+                let ctx = format!("chunk {}", w.chunk_id);
+                assert_eq!(w.chunk_id, c.chunk_id, "{ctx}");
+                assert_eq!(w.result.row_offsets(), c.result.row_offsets(), "{ctx}");
+                assert_eq!(w.result.col_ids(), c.result.col_ids(), "{ctx}");
+                assert_eq!(bits(&w.result), bits(&c.result), "{ctx}");
+                assert_eq!(w.groups, c.groups, "{ctx}");
+                assert_eq!(w.numeric_groups, c.numeric_groups, "{ctx}");
+                assert_eq!(w.flops, c.flops, "{ctx}");
+                assert_eq!(w.nnz, c.nnz, "{ctx}");
+                assert_eq!(
+                    w.compression_ratio.to_bits(),
+                    c.compression_ratio.to_bits(),
+                    "{ctx}"
+                );
+                assert_eq!(w.device_bytes(), c.device_bytes(), "{ctx}");
+                assert_eq!(w.spec, c.spec, "{ctx}: spec");
+                assert!(w.spec.is_some(), "{ctx}: spec attached");
+            }
+            assert_grid_matches_oracle(&warm, a);
+        }
+    }
 }
 
 fn arb_matrix(max_n: usize, max_entries: usize) -> impl Strategy<Value = CsrMatrix> {

@@ -8,12 +8,13 @@
 //!   the ground truth every other executor in the workspace is verified
 //!   against.
 //! * [`parallel_hash`] — a Nagasaka-et-al.-style multicore two-phase
-//!   SpGEMM: per-row flop analysis, symbolic count, exact allocation,
-//!   numeric fill with per-worker accumulators. One rule picks the
-//!   accumulator: dense while `b.n_cols() ≤ accum::DENSE_WIDTH_LIMIT`,
-//!   hash beyond. This is the paper's CPU baseline, the CPU side of its
-//!   hybrid executor (Section III-C), and the default
-//!   ([`CpuKernel::Hash`]).
+//!   SpGEMM: symbolic count, exact allocation, numeric fill with
+//!   per-worker accumulators. One rule picks the accumulator: dense
+//!   while `b.n_cols() ≤ accum::DENSE_WIDTH_LIMIT`, hash beyond. This
+//!   is the paper's CPU baseline, the CPU side of its hybrid executor
+//!   (Section III-C), and the default ([`CpuKernel::Hash`]). It is also
+//!   the host kernel that computes every out-of-core chunk's real
+//!   product (`gpu_spgemm::phases`).
 //! * [`dense_blocked`] — a Patwary-et-al.-style variant that partitions
 //!   `B` into column panels so a dense accumulator stays cache-resident
 //!   ([`CpuKernel::Dense`]).

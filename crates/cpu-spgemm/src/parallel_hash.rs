@@ -1,25 +1,25 @@
 //! Multicore two-phase hash SpGEMM — the paper's CPU baseline
 //! (Nagasaka et al., "the hashmap implementation available from them",
-//! Section III-C).
+//! Section III-C), and the one host kernel every executor uses to
+//! compute a product or a chunk's product.
 //!
 //! Structure:
 //!
-//! 1. **Row analysis** — per-row flop counts (`2 · Σ nnz(B_k*)`).
-//! 2. **Symbolic phase** — parallel over row chunks; each worker keeps a
-//!    reusable counter (dense stamps for narrow outputs, hash set
-//!    otherwise) and produces exact `nnz(C_i*)`.
-//! 3. **Exact allocation** — prefix sum of row sizes.
-//! 4. **Numeric phase** — parallel fill into disjoint output slices;
+//! 1. **Symbolic phase** — parallel over fixed 256-row blocks;
+//!    each worker keeps a reusable counter (dense stamps for narrow
+//!    outputs, hash set otherwise) and produces exact `nnz(C_i*)`.
+//! 2. **Exact allocation** — prefix sum of row sizes.
+//! 3. **Numeric phase** — parallel fill into disjoint output slices;
 //!    each worker reuses one accumulator, chosen for the whole product
 //!    by the width of `B`: a dense array while `b.n_cols() ≤`
 //!    [`DENSE_WIDTH_LIMIT`] (it stays cache-resident), a hash map
 //!    beyond. Both fold products in the same order, so the choice never
 //!    changes `C`.
 //!
-//! Rows are processed in flop-sorted *bins* inside each phase chunk so
-//! one pathological row cannot serialize a whole chunk — the
-//! load-balancing idea Nagasaka et al. use OpenMP dynamic scheduling
-//! for; rayon's work stealing plays that role here.
+//! Row blocks are independent tasks, so one pathological row holds up
+//! only its own block — the load-balancing role Nagasaka et al. give
+//! OpenMP dynamic scheduling; rayon's work stealing plays it here (the
+//! vendored `rayon` shim runs the tasks in order on one thread).
 
 use crate::check_dims;
 use accum::{AccumulatorKind, ScratchPool, DENSE_WIDTH_LIMIT};
@@ -36,22 +36,27 @@ pub fn multiply(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
     multiply_view(&CsrView::of(a), b)
 }
 
-/// [`multiply`] over a borrowed row panel of `A` — the entry point the
-/// hybrid executor uses for CPU-assigned chunks.
+/// [`multiply`] over a borrowed row panel of `A`.
 pub fn multiply_view(a: &CsrView<'_>, b: &CsrMatrix) -> Result<CsrMatrix> {
+    multiply_view_with(a, b, &ScratchPool::new())
+}
+
+/// [`multiply_view`] with worker scratch leased from the caller's
+/// `pool` — the entry point chunk preparation uses, so counters and
+/// accumulators stay warm across a grid's chunks and a service's
+/// requests. Both phases lease from the same pool: counters warmed by
+/// the symbolic pass come back as accumulator bundles for the numeric
+/// pass, so steady-state row compute allocates nothing. Scratch reuse
+/// never changes `C` (see [`accum::scratch`]).
+pub fn multiply_view_with(a: &CsrView<'_>, b: &CsrMatrix, pool: &ScratchPool) -> Result<CsrMatrix> {
     check_dims(a.n_rows(), a.n_cols(), b.n_rows(), b.n_cols())?;
     let n_rows = a.n_rows();
     let width = b.n_cols();
 
-    // One scratch pool shared by both phases: counters warmed by the
-    // symbolic pass come back as accumulator bundles for the numeric
-    // pass, so steady-state row compute allocates nothing.
-    let pool = ScratchPool::new();
+    // Phase 1: symbolic row sizes (exact).
+    let row_nnz: Vec<usize> = symbolic(a, b, pool);
 
-    // Phase 2: symbolic row sizes (exact).
-    let row_nnz: Vec<usize> = symbolic(a, b, &pool);
-
-    // Phase 3: exact allocation via prefix sum.
+    // Phase 2: exact allocation via prefix sum.
     let mut offsets = Vec::with_capacity(n_rows + 1);
     offsets.push(0usize);
     for &n in &row_nnz {
@@ -61,7 +66,7 @@ pub fn multiply_view(a: &CsrView<'_>, b: &CsrMatrix) -> Result<CsrMatrix> {
     let mut cols = vec![0 as ColId; nnz];
     let mut vals = vec![0.0f64; nnz];
 
-    // Phase 4: numeric fill into disjoint row-chunk slices.
+    // Phase 3: numeric fill into disjoint row-chunk slices.
     {
         let mut col_chunks: Vec<(usize, &mut [ColId], &mut [f64])> = Vec::new();
         let mut rest_c: &mut [ColId] = &mut cols;
@@ -80,7 +85,7 @@ pub fn multiply_view(a: &CsrView<'_>, b: &CsrMatrix) -> Result<CsrMatrix> {
         col_chunks
             .into_par_iter()
             .for_each(|(chunk_start, out_c, out_v)| {
-                numeric_chunk(a, b, &row_nnz, chunk_start, out_c, out_v, &pool);
+                numeric_chunk(a, b, &row_nnz, chunk_start, out_c, out_v, pool);
             });
     }
 

@@ -3,8 +3,11 @@
 //! pooled counters and dense accumulator to their high-water capacity,
 //! repeated passes over the same per-row work must allocate nothing.
 //! This pins both kernels' row loops: `parallel_hash`'s symbolic count
-//! and dense-row numeric fill, and the pooled dense accumulator
-//! `dense_blocked` leases per panel.
+//! and dense-row numeric fill — the loop every chunk preparation runs —
+//! and the pooled dense accumulator `dense_blocked` leases per panel.
+//! Two products of different widths alternate through one pool, as a
+//! grid's column panels do, so `ensure_width` reuse across widths is
+//! pinned too.
 //!
 //! This file deliberately holds a single `#[test]` — the counter is
 //! process-global, and a concurrent test in the same binary would
@@ -108,32 +111,75 @@ fn dense_pass(
     });
 }
 
+/// One product's inputs and the buffers its passes write into.
+struct Job {
+    a: CsrMatrix,
+    b: CsrMatrix,
+    expect: CsrMatrix,
+    row_nnz: Vec<usize>,
+    out_c: Vec<u32>,
+    out_v: Vec<f64>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl Job {
+    /// Output buffers sized from the reference product, outside the
+    /// measured region.
+    fn new(a: CsrMatrix, b: CsrMatrix) -> Self {
+        let expect = cpu_spgemm::reference::multiply(&a, &b).unwrap();
+        let nnz = expect.nnz();
+        Job {
+            row_nnz: vec![0usize; a.n_rows()],
+            out_c: vec![0u32; nnz],
+            out_v: vec![0.0f64; nnz],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            a,
+            b,
+            expect,
+        }
+    }
+
+    fn pass(&mut self, pool: &ScratchPool) {
+        hash_kernel_pass(
+            &self.a,
+            &self.b,
+            pool,
+            &mut self.row_nnz,
+            &mut self.out_c,
+            &mut self.out_v,
+        );
+        dense_pass(&self.a, &self.b, pool, &mut self.cols, &mut self.vals);
+    }
+}
+
 #[test]
 fn steady_state_cpu_kernels_are_allocation_free() {
-    let a = sparse::gen::erdos_renyi(180, 160, 0.05, 1);
-    let b = sparse::gen::erdos_renyi(160, 200, 0.05, 2);
-
+    let mut jobs = [
+        Job::new(
+            sparse::gen::erdos_renyi(180, 160, 0.05, 1),
+            sparse::gen::erdos_renyi(160, 200, 0.05, 2),
+        ),
+        Job::new(
+            sparse::gen::erdos_renyi(150, 120, 0.08, 3),
+            sparse::gen::erdos_renyi(120, 90, 0.08, 4),
+        ),
+    ];
+    assert_ne!(jobs[0].b.n_cols(), jobs[1].b.n_cols());
     let pool = ScratchPool::new();
-    // Output buffers sized from the reference product, outside the
-    // measured region.
-    let expect = cpu_spgemm::reference::multiply(&a, &b).unwrap();
-    let mut row_nnz = vec![0usize; a.n_rows()];
-    let nnz = expect.nnz();
-    let mut out_c = vec![0u32; nnz];
-    let mut out_v = vec![0.0f64; nnz];
-    // Dense staging grown once by the warm-up flush passes.
-    let mut cols: Vec<u32> = Vec::new();
-    let mut vals: Vec<f64> = Vec::new();
 
     // Warm-up: grows the counters, the dense accumulator, and the
-    // staging vectors to their high-water capacity.
-    hash_kernel_pass(&a, &b, &pool, &mut row_nnz, &mut out_c, &mut out_v);
-    dense_pass(&a, &b, &pool, &mut cols, &mut vals);
+    // staging vectors to their high-water capacity across both widths.
+    for job in &mut jobs {
+        job.pass(&pool);
+    }
 
     let before = allocations();
     for _ in 0..3 {
-        hash_kernel_pass(&a, &b, &pool, &mut row_nnz, &mut out_c, &mut out_v);
-        dense_pass(&a, &b, &pool, &mut cols, &mut vals);
+        for job in &mut jobs {
+            job.pass(&pool);
+        }
     }
     let delta = allocations() - before;
     assert_eq!(
@@ -141,14 +187,17 @@ fn steady_state_cpu_kernels_are_allocation_free() {
         "steady-state CPU kernel row loops must not allocate"
     );
 
-    // The measured passes produced the real product, not a husk.
-    let sizes: Vec<usize> = expect
-        .row_offsets()
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .collect();
-    assert_eq!(row_nnz, sizes);
-    assert_eq!(out_c, expect.col_ids());
+    // The measured passes produced the real products, not husks.
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&out_v), bits(expect.values()));
+    for job in &jobs {
+        let sizes: Vec<usize> = job
+            .expect
+            .row_offsets()
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect();
+        assert_eq!(job.row_nnz, sizes);
+        assert_eq!(job.out_c, job.expect.col_ids());
+        assert_eq!(bits(&job.out_v), bits(job.expect.values()));
+    }
 }

@@ -170,12 +170,12 @@ impl CostModel {
     }
 
     /// The paper calibration with the CPU-side constants replaced by
-    /// host measurements (`repro prep` emits them as
-    /// `BENCH_cpu_calibration.json`). The canonical [`calibrated`]
-    /// constants never change — paper-reproduction runs must stay
-    /// deterministic and platform-independent — but a measured model
-    /// lets a deployment reason about its *actual* host instead of the
-    /// paper's 28-thread Xeon.
+    /// host measurements the caller supplies (nothing in this workspace
+    /// measures them yet). The canonical [`calibrated`] constants never
+    /// change — paper-reproduction runs must stay deterministic and
+    /// platform-independent — but a measured model lets a deployment
+    /// reason about its *actual* host instead of the paper's 28-thread
+    /// Xeon.
     ///
     /// [`calibrated`]: CostModel::calibrated
     pub fn with_measured_cpu(

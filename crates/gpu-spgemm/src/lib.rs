@@ -14,23 +14,24 @@
 //!    per-group kernels compute the values, using *dense* accumulation
 //!    for dense groups and *hash-map* accumulation for sparse ones.
 //!
-//! [`phases`] computes the real results host-side and derives the
-//! workload descriptors ([`PreparedChunk`]) the simulator charges;
-//! [`sync`] drives one chunk through a single stream with dynamic
-//! device allocations — the "synchronous, partitioned spECK" baseline
-//! of Section IV-A. The asynchronous, pool-based pipeline that is the
-//! paper's contribution lives in the `oocgemm` crate and reuses
-//! [`phases`].
+//! [`phases`] computes each chunk's real product host-side with the
+//! CPU baseline's kernel (`cpu_spgemm::parallel_hash`) and derives the
+//! workload descriptors ([`PreparedChunk`]) the simulator charges: row
+//! flops, the two row groupings, bytes, and the compression ratio. The
+//! simulated kernels are charged from those descriptors alone, so which
+//! accumulator the host ran never moves simulated time. [`sync`] drives
+//! one chunk through a single stream with dynamic device allocations —
+//! the "synchronous, partitioned spECK" baseline of Section IV-A. The
+//! asynchronous, pool-based pipeline that is the paper's contribution
+//! lives in the `oocgemm` crate and reuses [`phases`].
 
 pub mod alternatives;
-pub mod kernels;
 pub mod phases;
 pub mod sync;
 
 pub use alternatives::{esc_chunk, rmerge_chunk, AltChunkReport};
-pub use kernels::{numeric_by_groups, numeric_by_groups_with, NumericGroups, NNZ_GROUP_BOUNDS};
 pub use phases::{
-    prepare_chunk, prepare_chunk_serial, prepare_chunk_with, ChunkJob, PreparedChunk, RowGroups,
-    GROUP_BOUNDS, ROW_BLOCK,
+    prepare_chunk, prepare_chunk_with, ChunkJob, NumericGroups, PreparedChunk, RowGroups,
+    GROUP_BOUNDS, NNZ_GROUP_BOUNDS, ROW_BLOCK,
 };
 pub use sync::{simulate_sync_chunk, sync_chunk, SyncChunkReport};

@@ -1,15 +1,16 @@
 //! Real per-phase computation plus the workload descriptors charged to
 //! the simulator.
 //!
-//! "Simulated time, real results": every phase here produces the exact
-//! numbers a GPU implementation would (row flop counts, symbolic row
-//! sizes, the numeric output chunk) using host code, together with the
-//! sizes (`flops`, bytes, compression ratio) that the
+//! "Simulated time, real results": every chunk's row flop counts and
+//! its product are computed exactly on the host — the product by the
+//! CPU baseline's kernel ([`cpu_spgemm::parallel_hash`]), whose offsets
+//! give the symbolic row sizes — together with the sizes (`flops`,
+//! per-group flops, bytes, compression ratio) that the
 //! [`gpu_sim::CostModel`] needs to charge simulated durations.
 
-use crate::kernels::{numeric_by_groups, numeric_by_groups_with, NumericGroups};
 use accum::estimate::{build_model_from_flops, EstimateConfig};
-use accum::{DenseCounter, HashCounter, ScratchPool, SymbolicCounter};
+use accum::ScratchPool;
+use cpu_spgemm::parallel_hash;
 use rayon::prelude::*;
 use sparse::{CsrMatrix, CsrView};
 
@@ -18,8 +19,8 @@ use sparse::{CsrMatrix, CsrView};
 /// count `f` goes to the first group with `f <= bound`.
 pub const GROUP_BOUNDS: [u64; 4] = [64, 1024, 16384, u64::MAX];
 
-/// Row-block granularity of the intra-chunk parallel phases. Chunks at
-/// or below this size run the phases serially — forking rayon tasks
+/// Row-block granularity of the intra-chunk parallel row analysis.
+/// Chunks at or below this size run it serially — forking rayon tasks
 /// for a few hundred rows costs more than it saves.
 pub const ROW_BLOCK: usize = 256;
 
@@ -82,6 +83,60 @@ impl RowGroups {
     }
 }
 
+/// Output-size boundaries for the numeric row groups (rows with
+/// `nnz(C_i*) <= bound`), mirroring the magnitude classes the flop
+/// grouping uses for the symbolic phase.
+pub const NNZ_GROUP_BOUNDS: [usize; 4] = [32, 512, 8192, usize::MAX];
+
+/// Numeric-phase row groups: rows binned by *output* size (the
+/// "re-assign rows of matrix A based on the number of non-zero
+/// elements" step of Figure 3).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct NumericGroups {
+    /// Row indices per group, small outputs first.
+    pub groups: Vec<Vec<u32>>,
+    /// Total flops per group (what each kernel launch is charged).
+    pub group_flops: Vec<u64>,
+}
+
+impl NumericGroups {
+    /// Bins rows by their output sizes; rows with empty output are
+    /// dropped. `row_flops` supplies the per-group kernel charges.
+    pub fn from_row_nnz(row_nnz: &[usize], row_flops: &[u64]) -> Self {
+        assert_eq!(row_nnz.len(), row_flops.len(), "per-row arrays must align");
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); NNZ_GROUP_BOUNDS.len()];
+        let mut group_flops = vec![0u64; NNZ_GROUP_BOUNDS.len()];
+        for (r, (&nnz, &flops)) in row_nnz.iter().zip(row_flops).enumerate() {
+            if nnz == 0 {
+                continue;
+            }
+            let g = NNZ_GROUP_BOUNDS.iter().position(|&b| nnz <= b).unwrap();
+            groups[g].push(r as u32);
+            group_flops[g] += flops;
+        }
+        let kept: Vec<(Vec<u32>, u64)> = groups
+            .into_iter()
+            .zip(group_flops)
+            .filter(|(g, _)| !g.is_empty())
+            .collect();
+        let (groups, group_flops) = kept.into_iter().unzip();
+        NumericGroups {
+            groups,
+            group_flops,
+        }
+    }
+
+    /// Number of non-empty groups (== numeric kernel launches).
+    pub fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// True if no row produces output.
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+}
+
 /// A fully prepared chunk: real output plus everything the simulator
 /// needs to charge its phases.
 #[derive(Clone, Debug)]
@@ -92,9 +147,7 @@ pub struct PreparedChunk {
     pub result: CsrMatrix,
     /// Symbolic-phase row groups (binned by flops).
     pub groups: RowGroups,
-    /// Numeric-phase row groups (re-binned by output size — the
-    /// "re-assign rows ... based on the number of non-zero elements"
-    /// step of Figure 3).
+    /// Numeric-phase row groups (re-binned by output size).
     pub numeric_groups: NumericGroups,
     /// Total flops of the chunk (multiply-add = 2).
     pub flops: u64,
@@ -198,47 +251,6 @@ pub fn row_analysis_into(a_panel: &CsrView<'_>, b_panel: &CsrMatrix, out: &mut [
         });
 }
 
-/// Symbolic execution: exact output size of each row.
-pub fn symbolic(a_panel: &CsrView<'_>, b_panel: &CsrMatrix) -> Vec<usize> {
-    let mut out = vec![0usize; a_panel.n_rows()];
-    symbolic_into(a_panel, b_panel, &ScratchPool::new(), &mut out);
-    out
-}
-
-/// [`symbolic`] into a caller-provided slice, parallel over
-/// [`ROW_BLOCK`]-row blocks with counters leased from `pool` (one
-/// bundle per in-flight block, reused across blocks and chunks instead
-/// of a fresh width-sized allocation per chunk). Counts are exact
-/// distinct-column integers, so block boundaries and counter reuse
-/// cannot change any value.
-pub fn symbolic_into(
-    a_panel: &CsrView<'_>,
-    b_panel: &CsrMatrix,
-    pool: &ScratchPool,
-    out: &mut [usize],
-) {
-    let rows = a_panel.n_rows();
-    assert_eq!(out.len(), rows, "one size slot per panel row");
-    let width = b_panel.n_cols();
-    let count_block = |base: usize, slots: &mut [usize], s: &mut accum::RowScratch| {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let r = base + i;
-            let cols = a_panel
-                .row_cols(r)
-                .iter()
-                .flat_map(|&k| b_panel.row_cols(k as usize).iter().copied());
-            *slot = s.count_row(cols, width);
-        }
-    };
-    if rows <= ROW_BLOCK {
-        pool.with(|s| count_block(0, out, s));
-        return;
-    }
-    out.par_chunks_mut(ROW_BLOCK)
-        .enumerate()
-        .for_each(|(block, slots)| pool.with(|s| count_block(block * ROW_BLOCK, slots, s)));
-}
-
 fn finish_chunk(
     job: &ChunkJob<'_>,
     flops: u64,
@@ -284,9 +296,9 @@ fn finish_chunk(
 ///
 /// The estimate reads only the panels, never the chunk's result, so it
 /// is what a device could compute before the product exists. A
-/// post-pass over the finished chunk (rather than a variant of the
-/// prepare engines), it cannot perturb the real product; the result is
-/// read afterwards only to count rows whose estimate fell short.
+/// post-pass over the finished chunk, it cannot perturb the real
+/// product; the result is read afterwards only to count rows whose
+/// estimate fell short.
 /// Deterministic given `cfg`, the panels, and nothing else.
 pub fn attach_speculation(
     chunk: &mut PreparedChunk,
@@ -315,10 +327,9 @@ pub fn attach_speculation(
     });
 }
 
-/// Prepares a chunk: runs all phases for real — in the same structure
-/// the simulated kernels are charged (row analysis, flop grouping,
-/// symbolic sizing, output-size regrouping, per-group numeric
-/// execution) — and records the descriptors.
+/// Prepares a chunk: computes its row flops and its real product, and
+/// records the descriptors the simulated phases are charged from (flop
+/// grouping, output-size regrouping, bytes).
 ///
 /// Convenience wrapper over [`prepare_chunk_with`] with a private
 /// scratch pool and no cached flop prefix; callers preparing many
@@ -329,6 +340,13 @@ pub fn prepare_chunk(job: ChunkJob<'_>) -> PreparedChunk {
 
 /// [`prepare_chunk`] with worker scratch leased from `pool` and an
 /// optional cached flop prefix.
+///
+/// The product comes from [`parallel_hash::multiply_view_with`], the
+/// CPU baseline's kernel, and each row's output size is read off its
+/// offsets. The kernel's accumulator choice is invisible to the
+/// descriptors: dense and hash accumulation add each column's products
+/// in the same order, and the simulator charges flops, not the host's
+/// accumulator.
 ///
 /// `row_flops_prefix`, when given, must be the exclusive prefix sum of
 /// the panel rows' flop counts against **this** `b_panel`
@@ -349,7 +367,7 @@ pub fn prepare_chunk_with(
     let rows = a.n_rows();
     // Borrow the reusable per-row arrays out of a pooled bundle for the
     // duration of the chunk (the bundle itself goes straight back so
-    // the symbolic/numeric workers below can lease it).
+    // the kernel's workers can lease it).
     let (mut row_flops, mut row_nnz) = pool.with(|s| {
         (
             std::mem::take(&mut s.flops_buf),
@@ -374,69 +392,16 @@ pub fn prepare_chunk_with(
     }
     let flops: u64 = row_flops.iter().sum();
     let groups = RowGroups::from_row_flops(&row_flops);
+    let result =
+        parallel_hash::multiply_view_with(a, b, pool).expect("panel dimensions were checked");
     row_nnz.clear();
-    row_nnz.resize(rows, 0);
-    symbolic_into(a, b, pool, &mut row_nnz);
+    row_nnz.extend(result.row_offsets().windows(2).map(|w| w[1] - w[0]));
     let numeric_groups = NumericGroups::from_row_nnz(&row_nnz, &row_flops);
-    let result = numeric_by_groups_with(a, b, &row_nnz, &numeric_groups, pool);
     pool.with(|s| {
         s.flops_buf = row_flops;
         s.nnz_buf = row_nnz;
     });
     finish_chunk(&job, flops, groups, numeric_groups, result)
-}
-
-/// The pre-parallel chunk engine, preserved verbatim as the
-/// equivalence oracle and bench baseline: serial row analysis, serial
-/// symbolic execution with chunk-local counters, and the unpooled
-/// numeric engine (fresh accumulators per worker task).
-pub fn prepare_chunk_serial(job: ChunkJob<'_>) -> PreparedChunk {
-    let a = &job.a_panel;
-    let b = job.b_panel;
-    assert_eq!(a.n_cols(), b.n_rows(), "panel dimensions must agree");
-    let row_flops: Vec<u64> = (0..a.n_rows()).map(|r| row_flops_one(a, b, r)).collect();
-    let flops: u64 = row_flops.iter().sum();
-    let groups = RowGroups::from_row_flops(&row_flops);
-    let row_nnz = symbolic_serial(a, b);
-    let numeric_groups = NumericGroups::from_row_nnz(&row_nnz, &row_flops);
-    let result = numeric_by_groups(a, b, &row_nnz, &numeric_groups);
-    finish_chunk(&job, flops, groups, numeric_groups, result)
-}
-
-/// The original serial symbolic pass: one fresh dense-or-hash counter
-/// per chunk, rows visited in order.
-fn symbolic_serial(a_panel: &CsrView<'_>, b_panel: &CsrMatrix) -> Vec<usize> {
-    let width = b_panel.n_cols();
-    let use_dense = width <= accum::DENSE_WIDTH_LIMIT;
-    let mut dense = if use_dense {
-        Some(DenseCounter::new(width))
-    } else {
-        None
-    };
-    let mut hash = HashCounter::with_expected(64);
-    (0..a_panel.n_rows())
-        .map(|r| {
-            if let Some(c) = dense.as_mut() {
-                for &k in a_panel.row_cols(r) {
-                    for &col in b_panel.row_cols(k as usize) {
-                        c.insert(col);
-                    }
-                }
-                let n = c.count();
-                c.reset();
-                n
-            } else {
-                for &k in a_panel.row_cols(r) {
-                    for &col in b_panel.row_cols(k as usize) {
-                        hash.insert(col);
-                    }
-                }
-                let n = hash.count();
-                hash.reset();
-                n
-            }
-        })
-        .collect()
 }
 
 impl PreparedChunk {
@@ -518,9 +483,17 @@ mod tests {
     #[test]
     fn symbolic_matches_stats() {
         let (a, b) = job_fixture();
-        let got = symbolic(&CsrView::of(&a), &b);
-        let expect = sparse::stats::symbolic_row_nnz(&a, &b);
-        assert_eq!(got, expect);
+        let p = prepare_chunk(ChunkJob {
+            a_panel: CsrView::of(&a),
+            b_panel: &b,
+            chunk_id: 0,
+        });
+        let row_nnz = sparse::stats::symbolic_row_nnz(&a, &b);
+        let row_flops = sparse::stats::row_flops(&a, &b);
+        assert_eq!(
+            p.numeric_groups,
+            NumericGroups::from_row_nnz(&row_nnz, &row_flops)
+        );
     }
 
     #[test]
@@ -534,6 +507,52 @@ mod tests {
         // 10 and 64 share the first group; 100 and 2000 sit separately.
         assert_eq!(g.groups[0], vec![1, 4]);
         assert!(g.len() >= 3);
+    }
+
+    #[test]
+    fn groups_partition_productive_rows() {
+        let row_nnz = vec![0usize, 5, 40, 1000, 10000, 1];
+        let row_flops = vec![0u64, 10, 80, 2000, 20000, 2];
+        let g = NumericGroups::from_row_nnz(&row_nnz, &row_flops);
+        let total_rows: usize = g.groups.iter().map(|v| v.len()).sum();
+        assert_eq!(total_rows, 5, "zero-output rows dropped");
+        let total_flops: u64 = g.group_flops.iter().sum();
+        assert_eq!(total_flops, 22092);
+        // Rows 1 (5) and 5 (1) fall in the <=32 group.
+        assert_eq!(g.groups[0], vec![1, 5]);
+    }
+
+    #[test]
+    fn all_four_numeric_groups_occur_and_match_reference() {
+        // Output rows engineered to land in all four numeric groups.
+        // Rows 100.. are an identity tail, so a row with k distinct
+        // entries into that tail produces exactly k outputs.
+        let n = 16384usize;
+        let mut coo = sparse::CooMatrix::new(n, n);
+        let sizes = [20usize, 200, 2000, 10000]; // one per group bound
+        for (r, &k) in sizes.iter().enumerate() {
+            for i in 0..k {
+                coo.push(r, 100 + i, 1.0).unwrap();
+            }
+        }
+        for r in 100..n {
+            coo.push(r, r, 2.0).unwrap();
+        }
+        let a = coo.to_csr();
+        let p = prepare_chunk(ChunkJob {
+            a_panel: CsrView::of(&a),
+            b_panel: &a,
+            chunk_id: 0,
+        });
+        assert_eq!(p.result, reference::multiply(&a, &a).unwrap());
+        let offsets = p.result.row_offsets();
+        let row_sizes: Vec<usize> = (0..4).map(|r| offsets[r + 1] - offsets[r]).collect();
+        assert_eq!(row_sizes, sizes);
+        assert_eq!(
+            p.numeric_groups.len(),
+            4,
+            "expected all four numeric groups"
+        );
     }
 
     #[test]
@@ -600,25 +619,6 @@ mod tests {
         assert_eq!(got.row_nnz_bytes, expect.row_nnz_bytes);
         assert_eq!(got.out_bytes, expect.out_bytes);
         assert_eq!(got.spec, expect.spec);
-    }
-
-    #[test]
-    fn pooled_parallel_engine_matches_serial_bit_identically() {
-        // Big enough that the intra-chunk parallel paths engage
-        // (> ROW_BLOCK rows), reusing one pool across both chunks.
-        let a = sparse::gen::rmat(sparse::gen::RmatConfig::skewed(10, 12000), 5);
-        let b = erdos_renyi(1024, 700, 0.01, 6);
-        let pool = accum::ScratchPool::new();
-        for (id, (a, b)) in [(&a, &a), (&a, &b)].into_iter().enumerate() {
-            let job = ChunkJob {
-                a_panel: CsrView::of(a),
-                b_panel: b,
-                chunk_id: id,
-            };
-            let got = prepare_chunk_with(job, &pool, None);
-            let expect = prepare_chunk_serial(job);
-            assert_chunks_identical(&got, &expect);
-        }
     }
 
     #[test]
