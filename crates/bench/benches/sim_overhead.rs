@@ -45,7 +45,9 @@ fn bench_sim(c: &mut Criterion) {
             let mut sim = GpuSim::new(DeviceProps::v100_scaled(256 << 20), CostModel::calibrated());
             let stream = sim.create_stream();
             for (i, p) in prepared.iter().enumerate() {
-                black_box(gpu_spgemm::simulate_sync_chunk(&mut sim, stream, p, i == 0).unwrap());
+                black_box(
+                    gpu_spgemm::simulate_sync_chunk(&mut sim, stream, &p.desc, i == 0).unwrap(),
+                );
             }
         });
     });

@@ -193,7 +193,7 @@ fn in_core_algorithm_comparison(entry: &SuiteEntry) {
         t.row(vec![
             "two-phase (spECK-style)".into(),
             format!("{:.3}", r.done_at as f64 / 1e6),
-            format!("{} B (exact output)", r.prepared.out_bytes),
+            format!("{} B (exact output)", r.prepared.desc.out_bytes),
         ]);
     }
     {

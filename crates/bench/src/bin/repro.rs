@@ -1,13 +1,15 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [all|table1|table2|table3|fig4|fig7|fig8|fig9|fig10|phases]
+//! repro [all|table1|table2|table3|fig4|fig7|fig8|fig9|fig10|phases|planner|estimate|chaos|serve]...
 //!       [--scale tiny|small|medium] [--only ABBR[,ABBR...]] [--out DIR]
+//!       [--seed N] [--iters K] [--soak]
 //! ```
 //!
 //! Text tables go to stdout; machine-readable JSON goes to `DIR`
 //! (default `results/`). `--only` restricts the suite-driven
-//! experiments to the named matrices (CI smoke runs one matrix).
+//! experiments to the named matrices (CI smoke runs one matrix). An
+//! unknown name or flag exits 2 before anything runs.
 
 use bench::experiments::{
     self, fig10_table, fig4_rows, fig7_rows, fig8_rows, fig9_rows, phases_rows, table3_rows,
@@ -17,6 +19,17 @@ use bench::load_suite;
 use sparse::gen::{SuiteMatrix, SuiteScale};
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Every experiment name `repro` accepts.
+const EXPERIMENTS: &str =
+    "all|table1|table2|table3|fig4|fig7|fig8|fig9|fig10|phases|planner|estimate|chaos|serve";
+
+fn usage() -> String {
+    format!(
+        "usage: repro [{EXPERIMENTS}]... [--scale tiny|small|medium] \
+         [--only ABBR[,ABBR...]] [--out DIR] [--seed N] [--iters K] [--soak]"
+    )
+}
 
 struct Args {
     experiments: Vec<String>,
@@ -79,18 +92,21 @@ fn parse_args() -> Args {
             "--soak" => soak = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: repro [all|table1|table2|table3|fig4|fig7|fig8|fig9|fig10|phases|planner|estimate|chaos|serve]... \
-                     [--scale tiny|small|medium] [--only ABBR[,ABBR...]] [--out DIR] \
-                     [--seed N] [--iters K] [--soak]\n\
+                    "{}\n\
                      chaos and serve are not part of 'all'; ask for them by name. \
                      --seed/--iters drive the chaos sweep (defaults 7, 2); \
                      --seed also seeds the serve trace. --soak extends the serve \
                      stage with the deadline-sprinkled trace under a tight \
-                     grid-cache cap (resident bytes must stay under it)."
+                     grid-cache cap (resident bytes must stay under it).",
+                    usage()
                 );
                 std::process::exit(0);
             }
-            other => experiments.push(other.to_string()),
+            name if EXPERIMENTS.split('|').any(|e| e == name) => experiments.push(arg),
+            other => {
+                eprintln!("unknown experiment or flag '{other}'\n{}", usage());
+                std::process::exit(2);
+            }
         }
     }
     if experiments.is_empty() {

@@ -216,10 +216,10 @@ fn run_spill(cfg: &OocConfig, a: &CsrMatrix, tag: &str) -> CellRun {
             Ok(c) => CellRun {
                 c: Some(c),
                 sim_ns: run.sim_ns,
-                device_faults: 0,
+                device_faults: run.recovery.faults(),
                 host_faults: run.recovery.host_faults(),
-                demotions: 0,
-                replans: 0,
+                demotions: run.recovery.demotions,
+                replans: run.recovery.replans,
                 deadline: false,
                 error: None,
             },
@@ -316,9 +316,10 @@ pub fn run(seed: u64, iters: usize) -> ChaosReport {
                 }
                 let runs: Vec<(&str, CellRun)> = vec![
                     ("async", run_async(&cfg, &a)),
-                    // The spill path plans exactly and simulates
-                    // without device faults; its chaos surface is the
-                    // host side (shard writes, corruption, re-reads).
+                    // The spill path plans exactly and runs the
+                    // ordinary device schedule under the cell's faults
+                    // and budget; on top it has the host side's shard
+                    // writes, corruption and re-reads.
                     (
                         "spill",
                         run_spill(&cfg, &a, &format!("{iter}_{fname}_{bname}")),

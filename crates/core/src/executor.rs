@@ -13,14 +13,15 @@ use crate::recovery::{backoff_ns, RecoveryReport};
 use crate::Result;
 use accum::estimate::{EstimateConfig, EstimatorKind};
 use gpu_sim::{GpuSim, SimTime, Timeline};
-use gpu_spgemm::{phases, ChunkJob, PreparedChunk};
+use gpu_spgemm::{phases, ChunkJob, ChunkProduct, PreparedChunk};
 use rayon::prelude::*;
 use sparse::partition::ColPanel;
 use sparse::{CsrMatrix, CsrView};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// All chunks of a plan, prepared (real results + descriptors), in
+/// All chunks of a plan, prepared (descriptors + real results), in
 /// row-major grid order. Shared by the GPU-only and hybrid executors.
 pub struct PreparedGrid {
     /// The panel plan the grid was prepared under.
@@ -28,9 +29,9 @@ pub struct PreparedGrid {
     /// Per-chunk flop/nnz descriptors for ordering decisions.
     pub grid: ChunkGrid,
     /// Row-major; `prepared[r * col_panels + c]`.
-    pub prepared: Vec<PreparedChunk>,
-    /// The partitioned B panels, retained so recovery can re-prepare
-    /// sub-chunks against the same panels.
+    pub prepared: Vec<ChunkProduct>,
+    /// The partitioned B panels, retained so recovery can describe
+    /// re-split pieces against the same panels.
     pub col_panels: Vec<ColPanel>,
     /// Global per-row flop prefix sums from the planner, retained for
     /// recovery re-splitting.
@@ -45,8 +46,9 @@ pub struct PreparedGrid {
 }
 
 impl PreparedGrid {
-    /// The prepared chunk at grid position `id`.
-    pub fn chunk(&self, id: ChunkId) -> &PreparedChunk {
+    /// The prepared chunk (descriptor and product) at grid position
+    /// `id`.
+    pub fn chunk(&self, id: ChunkId) -> &ChunkProduct {
         &self.prepared[id.row * self.plan.col_panels() + id.col]
     }
 
@@ -57,54 +59,66 @@ impl PreparedGrid {
 
     /// Total output nonzeros across all chunks.
     pub fn total_nnz(&self) -> u64 {
-        self.prepared.iter().map(|p| p.nnz).sum()
+        self.prepared.iter().map(|p| p.desc.nnz).sum()
+    }
+
+    /// The planner's flop prefix of global rows `rows`, which replaces
+    /// row analysis on a single column panel (it holds B's every column).
+    fn flops_prefix(&self, rows: &Range<usize>) -> Option<&[u64]> {
+        (self.plan.col_panels() == 1).then(|| &self.row_flops_prefix[rows.start..=rows.end])
     }
 
     /// Prepares chunk `idx` (row-major) of the plan against a shared
-    /// scratch pool. With a single column panel, the panel's per-row
-    /// flops equal the planner's global ones, so the cached prefix
-    /// replaces the chunk's row analysis.
+    /// scratch pool, with the speculative descriptor attached when the
+    /// grid was planned from estimates — one path shared by
+    /// `prepare_grid` and the threaded hybrid, so their grids stay
+    /// field-identical.
     pub(crate) fn prepare_chunk(
         &self,
         a: &CsrMatrix,
         idx: usize,
         pool: &accum::ScratchPool,
-    ) -> PreparedChunk {
+    ) -> ChunkProduct {
         let k_c = self.plan.col_panels();
         let range = &self.plan.row_ranges[idx / k_c];
-        let prefix = (k_c == 1).then(|| &self.row_flops_prefix[range.start..=range.end]);
         let job = ChunkJob {
             a_panel: CsrView::rows(a, range.start, range.end),
             b_panel: &self.col_panels[idx % k_c].matrix,
             chunk_id: idx,
         };
-        phases::prepare_chunk_with(job, pool, prefix)
+        let prefix = self.flops_prefix(range);
+        phases::prepare_chunk_with(job, pool, prefix, self.estimator.as_ref())
     }
 
-    /// Adds the prepared chunks, in row-major order. A grid planned
-    /// from estimates gets the speculative descriptor attached to every
-    /// chunk, each from a model sampled on its own panels with scratch
-    /// leased from `pool` — one post-pass shared by `prepare_grid` and
-    /// the threaded hybrid, so their grids stay field-identical. The
-    /// chunks' exact results are untouched: speculation only changes
-    /// how the simulation sizes and schedules them.
-    pub(crate) fn with_chunks(
-        mut self,
+    /// The output row offsets of global rows `rows` of chunk `parent`:
+    /// the matching slice of the parent's product offsets, `rows.len()
+    /// + 1` entries, not rebased.
+    pub fn piece_offsets(&self, parent: ChunkId, rows: &Range<usize>) -> &[usize] {
+        let base = self.plan.row_ranges[parent.row].start;
+        &self.chunk(parent).result.row_offsets()[rows.start - base..=rows.end - base]
+    }
+
+    /// The descriptor of global rows `rows` of chunk `parent` — a
+    /// re-split piece — derived from the parent's product with no
+    /// kernel call ([`phases::describe_rows`]). It equals
+    /// [`phases::prepare_chunk`] of the piece's own job field by field,
+    /// and the piece's product is the matching rows of the parent's, so
+    /// splitting never changes C.
+    pub fn describe_piece(
+        &self,
         a: &CsrMatrix,
-        mut prepared: Vec<PreparedChunk>,
+        parent: ChunkId,
+        rows: Range<usize>,
+        chunk_id: usize,
         pool: &accum::ScratchPool,
-    ) -> Self {
-        if let Some(cfg) = &self.estimator {
-            let k_c = self.plan.col_panels();
-            for (idx, chunk) in prepared.iter_mut().enumerate() {
-                let range = &self.plan.row_ranges[idx / k_c];
-                let a_panel = CsrView::rows(a, range.start, range.end);
-                let b_panel = &self.col_panels[idx % k_c].matrix;
-                phases::attach_speculation(chunk, &a_panel, b_panel, cfg, pool);
-            }
-        }
-        self.prepared = prepared;
-        self
+    ) -> PreparedChunk {
+        let job = ChunkJob {
+            a_panel: CsrView::rows(a, rows.start, rows.end),
+            b_panel: &self.col_panels[parent.col].matrix,
+            chunk_id,
+        };
+        let offsets = self.piece_offsets(parent, &rows);
+        phases::describe_rows(job, offsets, pool, self.flops_prefix(&rows), None)
     }
 
     /// Approximate resident host-heap footprint of the grid, in bytes:
@@ -125,7 +139,7 @@ impl PreparedGrid {
             .map(|p| {
                 // Symbolic and numeric row groups each hold one u32 per
                 // panel row (plus per-group flop totals, negligible).
-                csr_bytes(&p.result) + p.rows as u64 * 8
+                csr_bytes(&p.result) + p.desc.rows as u64 * 8
             })
             .sum();
         let panels: u64 = self.col_panels.iter().map(|cp| csr_bytes(&cp.matrix)).sum();
@@ -167,7 +181,7 @@ pub(crate) fn plan_panels<'m>(
 
 /// The planning prologue of every grid preparation: validate, plan
 /// panels, partition B, and size the grid. The grid has no chunks yet;
-/// [`PreparedGrid::with_chunks`] adds them.
+/// the caller fills `prepared` with [`PreparedGrid::prepare_chunk`].
 pub(crate) fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PreparedGrid> {
     config.validate()?;
     let (planner, plan) = plan_panels(a, b, config)?;
@@ -208,12 +222,12 @@ pub fn prepare_grid_pooled(
     config: &OocConfig,
     pool: &accum::ScratchPool,
 ) -> Result<PreparedGrid> {
-    let pg = plan_grid(a, b, config)?;
-    let prepared = (0..pg.plan.num_chunks())
+    let mut pg = plan_grid(a, b, config)?;
+    pg.prepared = (0..pg.plan.num_chunks())
         .into_par_iter()
         .map(|i| pg.prepare_chunk(a, i, pool))
         .collect();
-    Ok(pg.with_chunks(a, prepared, pool))
+    Ok(pg)
 }
 
 /// Simulates the chosen execution mode over an ordered chunk list and
@@ -235,12 +249,13 @@ pub(crate) fn simulate_order(
             let stream = sim.create_stream();
             let mut done = sim.now();
             for (info, &xfer_a) in order.iter().zip(&transfer_a) {
-                done = gpu_spgemm::simulate_sync_chunk(sim, stream, pg.chunk(info.id), xfer_a)?;
+                let chunk = &pg.chunk(info.id).desc;
+                done = gpu_spgemm::simulate_sync_chunk(sim, stream, chunk, xfer_a)?;
             }
             Ok(done)
         }
         ExecMode::Async => {
-            let refs: Vec<&PreparedChunk> = order.iter().map(|info| pg.chunk(info.id)).collect();
+            let refs: Vec<&ChunkProduct> = order.iter().map(|info| pg.chunk(info.id)).collect();
             crate::pipeline::simulate_pipeline_depth(
                 sim,
                 &refs,
@@ -260,10 +275,6 @@ pub(crate) struct DeviceRun {
     pub sim_ns: SimTime,
     /// The device timeline.
     pub timeline: Timeline,
-    /// Results of re-split chunks, vstacked from their sub-chunk
-    /// results — bit-identical to the original chunk result because
-    /// SpGEMM rows are independent.
-    pub overrides: HashMap<ChunkId, CsrMatrix>,
     /// What recovery did on this device.
     pub recovery: RecoveryReport,
     /// Device metrics with per-chunk counters and degradations; the
@@ -275,7 +286,9 @@ pub(crate) struct DeviceRun {
 /// `config.fault_plan` when one is set. Fault plans, host fault plans,
 /// run budgets and speculative grids take the recovering orchestration
 /// (estimate overflows surface as recoverable chunk failures there);
-/// everything else takes the exact one-shot pass.
+/// everything else takes the exact one-shot pass. Either way the run
+/// only schedules the grid's chunks, so C is [`assemble_product`] of
+/// the grid whatever recovery did.
 pub(crate) fn run_on_device(
     a: &CsrMatrix,
     pg: &PreparedGrid,
@@ -313,50 +326,45 @@ pub(crate) fn execution_order(pg: &PreparedGrid, config: &OocConfig) -> Vec<Chun
     }
 }
 
-/// Assembles C from every chunk of `order`, taking re-split chunks'
-/// results from `overrides`.
-pub(crate) fn assemble_product(
-    pg: &PreparedGrid,
-    order: &[ChunkInfo],
-    overrides: &HashMap<ChunkId, CsrMatrix>,
-) -> CsrMatrix {
-    let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = order
+/// Assembles C from every chunk's product. Recovery never changes a
+/// product — a re-split piece is a row range of its parent's, and
+/// growing, stripping speculation or demoting only re-prices a chunk —
+/// so this is C for every run on the grid, faulted or not.
+pub(crate) fn assemble_product(pg: &PreparedGrid) -> CsrMatrix {
+    let chunk_refs: Vec<(ChunkId, &CsrMatrix)> = pg
+        .grid
+        .natural_order()
         .iter()
-        .map(|info| {
-            let result = overrides.get(&info.id).unwrap_or(&pg.chunk(info.id).result);
-            (info.id, result)
-        })
+        .map(|info| (info.id, &pg.chunk(info.id).result))
         .collect();
     assemble(&pg.plan, &chunk_refs)
 }
 
-/// Where a work item's prepared chunk lives.
-#[derive(Clone, Copy)]
-enum WorkSource {
-    /// A chunk of the prepared grid.
-    Orig(ChunkId),
-    /// A chunk made during recovery (index into `Recovery::subs`).
-    Sub(usize),
+/// Global rows `rows` of grid chunk `parent`, charged as `chunk`: the
+/// grid chunk's own descriptor, or one that recovery derived, grew or
+/// stripped. The product of these rows is the matching rows of the
+/// parent's.
+struct WorkItem<'g> {
+    parent: ChunkId,
+    rows: Range<usize>,
+    depth: u32,
+    chunk: Cow<'g, PreparedChunk>,
 }
 
-impl WorkSource {
-    fn chunk<'c>(self, pg: &'c PreparedGrid, subs: &'c [PreparedChunk]) -> &'c PreparedChunk {
-        match self {
-            WorkSource::Orig(id) => pg.chunk(id),
-            WorkSource::Sub(i) => &subs[i],
+impl WorkItem<'_> {
+    /// Re-sizes the item with `remake` if it runs speculatively.
+    fn respec(&mut self, remake: impl Fn(&PreparedChunk) -> PreparedChunk) {
+        if self.chunk.spec.is_some() {
+            self.chunk = Cow::Owned(remake(&self.chunk));
         }
     }
 }
 
-struct WorkItem {
-    parent: ChunkId,
-    rows: Range<usize>,
-    depth: u32,
-    source: WorkSource,
-}
-
 /// The state the recovering orchestration threads through its passes,
-/// with the per-item actions that change it.
+/// with the per-item actions that change it. Every action re-prices
+/// work — it derives, grows or strips descriptors, or moves work to the
+/// CPU clock — and none touches a product, so the run's C is the
+/// prepared grid's ([`assemble_product`]).
 struct Recovery<'r> {
     sim: &'r mut GpuSim,
     a: &'r CsrMatrix,
@@ -364,53 +372,19 @@ struct Recovery<'r> {
     config: &'r OocConfig,
     host: Option<HostFaultState>,
     report: RecoveryReport,
-    /// Chunks made during recovery: re-split pieces, grown and exact
-    /// variants.
-    subs: Vec<PreparedChunk>,
+    /// Chunk id of the next re-split piece.
     next_sub_id: usize,
-    /// Completed/demoted sub-chunk results per re-split parent, keyed
-    /// by global start row for the final ordered vstack.
-    pieces: HashMap<ChunkId, Vec<(usize, CsrMatrix)>>,
+    /// Scratch for describing re-split pieces.
+    pool: accum::ScratchPool,
     stats: HashMap<ChunkId, ChunkMetrics>,
 }
 
-impl Recovery<'_> {
-    fn chunk(&self, w: &WorkItem) -> &PreparedChunk {
-        w.source.chunk(self.pg, &self.subs)
-    }
-
+impl<'r> Recovery<'r> {
     /// The per-chunk counters so far, in `(row, col)` order.
     fn chunk_metrics(&self) -> Vec<ChunkMetrics> {
         let mut chunks: Vec<ChunkMetrics> = self.stats.values().copied().collect();
         chunks.sort_unstable_by_key(|s| (s.row, s.col));
         chunks
-    }
-
-    /// Re-sizes every pending speculative chunk with `remake`.
-    fn respec(
-        &mut self,
-        pending: &mut [WorkItem],
-        remake: impl Fn(&PreparedChunk) -> PreparedChunk,
-    ) {
-        for w in pending {
-            let p = w.source.chunk(self.pg, &self.subs);
-            if p.spec.is_some() {
-                let remade = remake(p);
-                self.subs.push(remade);
-                w.source = WorkSource::Sub(self.subs.len() - 1);
-            }
-        }
-    }
-
-    /// Keeps a finished sub-chunk's result for its parent's vstack.
-    fn keep(&mut self, w: &WorkItem) {
-        if let WorkSource::Sub(i) = w.source {
-            let result = self.subs[i].result.clone();
-            self.pieces
-                .entry(w.parent)
-                .or_default()
-                .push((w.rows.start, result));
-        }
     }
 
     /// Runs `w` on the CPU at its calibrated cost. Demoted chunks run
@@ -424,7 +398,7 @@ impl Recovery<'_> {
             .or_insert_with(|| ChunkMetrics::new(w.parent));
         s.demotions += 1;
         s.demotion_cause.get_or_insert(cause);
-        let p = self.chunk(w);
+        let p = &w.chunk;
         let cpu_ns = self.config.cost.cpu_chunk_duration(p.flops, p.nnz);
         let chunk = format!("chunk ({},{})", w.parent.row, w.parent.col);
         if let Some(h) = self.host.as_mut() {
@@ -435,14 +409,15 @@ impl Recovery<'_> {
         }
         self.sim
             .host_compute(cpu_ns, format!("CPU fallback {chunk}"));
-        self.keep(w);
     }
 
     /// Splits `w` in two along the planner's row-flop prefix sums and
-    /// queues both halves, re-prepared, on `next`. Re-preparing
-    /// allocates host buffers, which can stall under host-allocation
-    /// pressure (charged under `why`).
-    fn split(&mut self, w: &WorkItem, why: &str, next: &mut Vec<WorkItem>) {
+    /// queues both halves on `next`, each described from the parent's
+    /// product ([`PreparedGrid::describe_piece`]): no kernel runs and no
+    /// product is copied. Describing a piece allocates host buffers,
+    /// which can stall under host-allocation pressure (charged under
+    /// `why`).
+    fn split(&mut self, w: &WorkItem, why: &str, next: &mut Vec<WorkItem<'r>>) {
         for rows in split_range_by_flops(&self.pg.row_flops_prefix, &w.rows, 2) {
             if rows.is_empty() {
                 continue;
@@ -456,17 +431,16 @@ impl Recovery<'_> {
                         .host_compute(wait, format!("host-allocation stall ({why})"));
                 }
             }
-            self.subs.push(phases::prepare_chunk(ChunkJob {
-                a_panel: CsrView::rows(self.a, rows.start, rows.end),
-                b_panel: &self.pg.col_panels[w.parent.col].matrix,
-                chunk_id: self.next_sub_id,
-            }));
+            let (a, id) = (self.a, self.next_sub_id);
+            let piece = self
+                .pg
+                .describe_piece(a, w.parent, rows.clone(), id, &self.pool);
             self.next_sub_id += 1;
             next.push(WorkItem {
                 parent: w.parent,
                 rows,
                 depth: w.depth + 1,
-                source: WorkSource::Sub(self.subs.len() - 1),
+                chunk: Cow::Owned(piece),
             });
         }
     }
@@ -515,9 +489,8 @@ fn simulate_order_recovering(
             .as_ref()
             .map(|p| HostFaultState::new(p.derive(faults::streams::EXECUTOR))),
         report: RecoveryReport::default(),
-        subs: Vec::new(),
         next_sub_id: pg.plan.num_chunks(),
-        pieces: HashMap::new(),
+        pool: accum::ScratchPool::new(),
         stats: HashMap::new(),
     };
     let mut degradations: Vec<DegradationEvent> = Vec::new();
@@ -532,7 +505,7 @@ fn simulate_order_recovering(
             parent: info.id,
             rows: pg.plan.row_ranges[info.id.row].clone(),
             depth: 0,
-            source: WorkSource::Orig(info.id),
+            chunk: Cow::Borrowed(&pg.chunk(info.id).desc),
         })
         .collect();
 
@@ -558,7 +531,9 @@ fn simulate_order_recovering(
                     // speculative chunks to their exact output, so
                     // estimate overflows can no longer occur.
                     1 => {
-                        r.respec(&mut pending, PreparedChunk::grown);
+                        pending
+                            .iter_mut()
+                            .for_each(|w| w.respec(PreparedChunk::grown));
                         (
                             DegradationCause::HeadroomShrink,
                             "budget rung 1: shrink speculation headroom",
@@ -567,10 +542,12 @@ fn simulate_order_recovering(
                     // Force exact planning: strip speculation from the
                     // remaining chunks (full symbolic schedule).
                     2 => {
-                        r.respec(&mut pending, |p| PreparedChunk {
-                            spec: None,
-                            ..p.clone()
-                        });
+                        for w in &mut pending {
+                            w.respec(|p| PreparedChunk {
+                                spec: None,
+                                ..p.clone()
+                            });
+                        }
                         (
                             DegradationCause::ForcedExact,
                             "budget rung 2: force exact planning",
@@ -592,10 +569,7 @@ fn simulate_order_recovering(
                 // accounting instead of burning more simulated time.
                 let cpu_total = pending
                     .iter()
-                    .map(|w| {
-                        let p = r.chunk(w);
-                        config.cost.cpu_chunk_duration(p.flops, p.nnz)
-                    })
+                    .map(|w| config.cost.cpu_chunk_duration(w.chunk.flops, w.chunk.nnz))
                     .fold(0, SimTime::saturating_add);
                 if elapsed.saturating_add(cpu_total) > b.sim_deadline_ns {
                     let pending_parents: std::collections::HashSet<ChunkId> =
@@ -639,7 +613,8 @@ fn simulate_order_recovering(
         let attempts: Vec<ChunkAttempt<'_>> = pending
             .iter()
             .map(|w| ChunkAttempt {
-                chunk: w.source.chunk(pg, &r.subs),
+                chunk: &w.chunk,
+                offsets: pg.piece_offsets(w.parent, &w.rows),
                 row: w.parent.row,
             })
             .collect();
@@ -652,7 +627,7 @@ fn simulate_order_recovering(
         for (i, mut w) in std::mem::take(&mut pending).into_iter().enumerate() {
             let (row, col) = (w.parent.row, w.parent.col);
             match failed.get(&i).copied() {
-                None => r.keep(&w),
+                None => {}
                 Some(ChunkFailure::Oom(_)) if splittable(&w) => {
                     r.report.resplits += 1;
                     if let Some(s) = r.stats.get_mut(&w.parent) {
@@ -683,7 +658,7 @@ fn simulate_order_recovering(
                         "grow chunk ({row},{col}) rows {}..{} to {needed} output bytes and retry",
                         w.rows.start, w.rows.end
                     ));
-                    r.respec(std::slice::from_mut(&mut w), PreparedChunk::grown);
+                    w.respec(PreparedChunk::grown);
                     next.push(w);
                 }
                 Some(f) => {
@@ -734,17 +709,6 @@ fn simulate_order_recovering(
 
     let sim_ns = r.sim.finish();
     let chunk_stats = r.chunk_metrics();
-    let mut overrides = HashMap::new();
-    for (parent, mut parts) in r.pieces {
-        parts.sort_by_key(|&(start, _)| start);
-        let refs: Vec<&CsrMatrix> = parts.iter().map(|(_, m)| m).collect();
-        debug_assert_eq!(
-            refs.iter().map(|m| m.n_rows()).sum::<usize>(),
-            pg.plan.row_ranges[parent.row].len(),
-            "sub-chunk results must tile the parent chunk exactly"
-        );
-        overrides.insert(parent, sparse::ops::vstack(&refs)?);
-    }
     let recovery = r.report;
     Ok(DeviceRun {
         sim_ns,
@@ -752,7 +716,6 @@ fn simulate_order_recovering(
             .with_chunks(chunk_stats)
             .with_degradations(degradations),
         timeline: sim.into_timeline(),
-        overrides,
         recovery,
     })
 }
@@ -773,7 +736,7 @@ pub(crate) fn estimator_stats(
     let mut chunk_hits = 0u64;
     let mut chunk_misses = 0u64;
     let mut overflow_rows = 0u64;
-    for p in &pg.prepared {
+    for p in pg.prepared.iter().map(|p| &p.desc) {
         if let Some(spec) = &p.spec {
             sampled_rows += spec.sampled_rows;
             est_nnz += spec.est_nnz;
@@ -929,7 +892,7 @@ impl OutOfCoreGpu {
             run.timeline.validate().is_ok(),
             "timeline invariants violated"
         );
-        let c = assemble_product(pg, &order, &run.overrides);
+        let c = assemble_product(pg);
         Ok(OocRun {
             flops: pg.total_flops(),
             nnz_c: pg.total_nnz(),

@@ -7,8 +7,8 @@
 //! I/O to disk (transient read/write errors and silent shard
 //! corruption — real bit-flips that the FNV-1a checksums must catch),
 //! transient CPU-kernel failures on demoted or CPU-assigned chunks,
-//! and host-allocation pressure stalls while recovery re-prepares
-//! sub-chunks.
+//! and host-allocation pressure stalls while recovery describes
+//! re-split pieces.
 //!
 //! The mechanics mirror the device plan exactly: each category draws
 //! from its *own* ChaCha stream derived from the plan seed, every

@@ -164,7 +164,7 @@ pub(crate) fn cpu_worker_ns(
         .map(|p| HostFaultState::new(p.derive(faults::streams::CPU_WORKER)));
     let mut clock: SimTime = 0;
     for info in chunks {
-        let p = pg.chunk(info.id);
+        let p = &pg.chunk(info.id).desc;
         let chunk_ns = config.cost.cpu_chunk_duration(p.flops, p.nnz);
         if let Some(h) = host.as_mut() {
             h.cpu_kernel_retries(&config.cost, chunk_ns, recovery, |ns| clock += ns);
@@ -233,12 +233,12 @@ impl Hybrid {
             // Already-prepared host results are kept; the CPU clock
             // pays for recomputing every orphaned GPU chunk.
             for info in &assignment.gpu {
-                let p = pg.chunk(info.id);
+                let p = &pg.chunk(info.id).desc;
                 cpu_ns += self.config.gpu.cost.cpu_chunk_duration(p.flops, p.nnz);
                 recovery.demotions += 1;
             }
         }
-        let c = assemble_product(pg, &order, &gpu.overrides);
+        let c = assemble_product(pg);
 
         let sim_ns = gpu_ns.max(cpu_ns);
         let total_flops = pg.total_flops();
@@ -323,7 +323,7 @@ impl Hybrid {
     /// threaded and sequential runs are bit-identical even under an
     /// active fault plan. The difference is host wall-clock only.
     pub fn multiply_threaded(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
-        use gpu_spgemm::PreparedChunk;
+        use gpu_spgemm::ChunkProduct;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -344,7 +344,7 @@ impl Hybrid {
         // function of the index, so the interleaving cannot affect the
         // result. The GPU worker honors the injected-panic test hook.
         let cursor = AtomicUsize::new(0);
-        let worker = |inject: bool| -> Vec<(usize, PreparedChunk)> {
+        let worker = |inject: bool| -> Vec<(usize, ChunkProduct)> {
             let mut out = Vec::new();
             loop {
                 if inject {
@@ -388,7 +388,7 @@ impl Hybrid {
         let mut recovery = RecoveryReport::default();
         let policy = cfg.recovery;
         let mut gpu_dead = false;
-        let mut slots: Vec<Option<PreparedChunk>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<ChunkProduct>> = (0..n).map(|_| None).collect();
         for (join, name) in [(gpu_join, "gpu"), (cpu_join, "cpu")] {
             match join {
                 Ok(prepared) => {
@@ -420,7 +420,7 @@ impl Hybrid {
             .enumerate()
             .map(|(idx, slot)| slot.unwrap_or_else(|| prepare(idx)))
             .collect();
-        let pg = pg.with_chunks(a, prepared, &scratch);
+        let pg = PreparedGrid { prepared, ..pg };
         self.run_prepared(a, &pg, gpu_dead, recovery)
     }
 

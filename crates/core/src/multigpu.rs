@@ -18,7 +18,7 @@
 //! longest-processing-time (LPT) list assignment: each chunk in flop
 //! order goes to the worker with the smallest committed load.
 
-use crate::chunks::{ChunkGrid, ChunkId, ChunkInfo};
+use crate::chunks::{ChunkGrid, ChunkInfo};
 use crate::config::{OocConfig, SchedulerKind};
 use crate::executor::{
     assemble_product, estimator_stats, prepare_grid, run_on_device, PreparedGrid,
@@ -32,7 +32,6 @@ use crate::Result;
 use gpu_sim::{CostModel, KernelKind, SimTime, Timeline};
 use gpu_spgemm::PreparedChunk;
 use sparse::CsrMatrix;
-use std::collections::HashMap;
 
 /// Configuration of the multi-device executor.
 #[derive(Clone, Debug)]
@@ -168,7 +167,7 @@ fn distribute(
             // One-shot LPT list scheduling over estimated chunk costs.
             let mut loads = vec![0u64; workers];
             for info in order {
-                let p = pg.chunk(info.id);
+                let p = &pg.chunk(info.id).desc;
                 let est = |w: usize| {
                     if w < config.num_gpus {
                         gpu_chunk_estimate(cost, p, config.gpu.pinned)
@@ -207,13 +206,14 @@ fn distribute(
                     let info = order[head];
                     head += 1;
                     gpu_claims += 1;
-                    clocks[w] += gpu_chunk_estimate(cost, pg.chunk(info.id), config.gpu.pinned);
+                    clocks[w] +=
+                        gpu_chunk_estimate(cost, &pg.chunk(info.id).desc, config.gpu.pinned);
                     info
                 } else {
                     tail -= 1;
                     let info = order[tail];
                     cpu_steals += 1;
-                    let p = pg.chunk(info.id);
+                    let p = &pg.chunk(info.id).desc;
                     clocks[w] += cost.cpu_chunk_duration(p.flops, p.nnz);
                     info
                 };
@@ -247,7 +247,6 @@ pub fn multiply_multi_gpu(
     let mut metrics = Vec::with_capacity(config.num_gpus);
     let mut gpu_chunks = Vec::with_capacity(config.num_gpus);
     let mut recovery = RecoveryReport::default();
-    let mut overrides: HashMap<ChunkId, CsrMatrix> = HashMap::new();
     for (device, chunks) in assignment.iter().take(config.num_gpus).enumerate() {
         // Each device draws from its own derived fault streams (device
         // and host) so one GPU's faults never shift another's.
@@ -261,7 +260,6 @@ pub fn multiply_multi_gpu(
             .map(|p| p.derive(faults::streams::MULTI_GPU + device as u64));
         let run = run_on_device(a, &pg, &ChunkGrid::grouped_desc(chunks), &dev_cfg)?;
         recovery.merge(&run.recovery);
-        overrides.extend(run.overrides);
         gpu_ns.push(run.sim_ns);
         timelines.push(run.timeline);
         metrics.push(run.metrics);
@@ -278,7 +276,7 @@ pub fn multiply_multi_gpu(
         .map_or(&[][..], Vec::as_slice);
     let cpu_ns = cpu_worker_ns(&pg, cpu_chunks, &config.gpu, &mut recovery);
 
-    let c = assemble_product(&pg, &order, &overrides);
+    let c = assemble_product(&pg);
     let sim_ns = gpu_ns.iter().copied().max().unwrap_or(0).max(cpu_ns);
     let total_flops = pg.total_flops();
     let gpu_flops: u64 = assignment

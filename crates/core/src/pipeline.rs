@@ -34,7 +34,7 @@ use crate::recovery::{backoff_ns, RecoveryPolicy, RecoveryReport};
 use gpu_sim::{
     CopyDir, DeviceAlloc, GpuSim, HostMem, KernelKind, OutOfDeviceMemory, SimTime, Stream,
 };
-use gpu_spgemm::PreparedChunk;
+use gpu_spgemm::{ChunkProduct, PreparedChunk};
 
 /// Host-side per-row cost of the grouping pass, ns.
 const GROUPING_NS_PER_ROW: u64 = 2;
@@ -96,7 +96,7 @@ pub(crate) fn a_slot_bytes<'c>(chunks: impl IntoIterator<Item = &'c PreparedChun
 /// so the timeline ends with the last output transfer.
 pub fn simulate_pipeline_depth(
     sim: &mut GpuSim,
-    chunks: &[&PreparedChunk],
+    chunks: &[&ChunkProduct],
     transfer_a: &[bool],
     split_fraction: f64,
     pinned: bool,
@@ -120,10 +120,10 @@ pub fn simulate_pipeline_depth(
         .zip(transfer_a)
         .map(|(&chunk, &xfer_a)| {
             row += usize::from(xfer_a);
-            ChunkAttempt { chunk, row }
+            ChunkAttempt::whole(chunk, row)
         })
         .collect();
-    let a_slot = a_slot_bytes(chunks.iter().copied());
+    let a_slot = a_slot_bytes(chunks.iter().map(|c| &c.desc));
     let policy = RecoveryPolicy::default();
     let mut session =
         PipelineSession::new(sim, split_fraction, pinned, depth, a_slot, policy, false)?;
@@ -139,14 +139,28 @@ pub fn simulate_pipeline_depth(
     Ok(sim.finish())
 }
 
-/// One unit of work for the pipeline: a prepared chunk plus the row
-/// panel its A view belongs to. The A panel stays resident while
-/// consecutive chunks share a row panel.
+/// One unit of work for the pipeline: a chunk's descriptor, its output
+/// row offsets, and the row panel its A view belongs to. The A panel
+/// stays resident while consecutive chunks share a row panel.
 pub(crate) struct ChunkAttempt<'a> {
-    /// The prepared chunk (descriptors + host-side result).
+    /// The chunk's descriptor.
     pub chunk: &'a PreparedChunk,
+    /// The chunk's output row offsets, which size the two-portion output
+    /// transfer: its own, or a re-split piece's slice of its parent's.
+    pub offsets: &'a [usize],
     /// Row panel the chunk's A view belongs to.
     pub row: usize,
+}
+
+impl<'a> ChunkAttempt<'a> {
+    /// A whole prepared chunk of row panel `row`.
+    pub(crate) fn whole(chunk: &'a ChunkProduct, row: usize) -> Self {
+        ChunkAttempt {
+            chunk: &chunk.desc,
+            offsets: chunk.result.row_offsets(),
+            row,
+        }
+    }
 }
 
 /// Why a chunk could not complete on the device.
@@ -443,7 +457,8 @@ impl<'s> PipelineSession<'s> {
         self.high_water = self.high_water.max(self.a_slot_bytes + need);
 
         self.schedule(att, stream)?;
-        let (first_bytes, second_bytes) = chunk.split_output_bytes(self.split_fraction);
+        let (first_bytes, second_bytes) =
+            chunk.split_output_bytes(att.offsets, self.split_fraction);
         self.prev = Some(PendingOutput {
             stream,
             chunk_id: id,
@@ -682,7 +697,7 @@ mod tests {
     use sparse::CsrView;
 
     /// `n_chunks` prepared chunks: all of A against column panels of B.
-    fn prepared_fixture(n_chunks: usize) -> Vec<PreparedChunk> {
+    fn prepared_fixture(n_chunks: usize) -> Vec<ChunkProduct> {
         let a = erdos_renyi(1200, 1200, 0.02, 1);
         let b = erdos_renyi(1200, 1200, 0.02, 2);
         let ranges = sparse::partition::col::even_col_ranges(&b, n_chunks);
@@ -725,11 +740,11 @@ mod tests {
             "no overlap: makespan {async_time} >= total busy {busy}"
         );
         // The D2H engine must carry the full output volume (split in 2).
-        let out_total: u64 = prepared.iter().map(|p| p.out_bytes).sum();
+        let out_total: u64 = prepared.iter().map(|p| p.desc.out_bytes).sum();
         let d2h_bytes: u64 = t.of_kind(OpKind::CopyD2H).map(|r| r.payload).sum();
         let row_info: u64 = prepared
             .iter()
-            .map(|p| p.row_info_bytes + p.row_nnz_bytes)
+            .map(|p| p.desc.row_info_bytes + p.desc.row_nnz_bytes)
             .sum();
         assert_eq!(d2h_bytes, out_total + row_info);
     }
@@ -763,7 +778,7 @@ mod tests {
                 .sum();
             let expect: u64 = prepared
                 .iter()
-                .map(|p| p.out_bytes + p.row_info_bytes + p.row_nnz_bytes)
+                .map(|p| p.desc.out_bytes + p.desc.row_info_bytes + p.desc.row_nnz_bytes)
                 .sum();
             assert_eq!(d2h, expect, "depth {depth} lost transfers");
             times.push(t);

@@ -106,7 +106,7 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
 
     let cfg = &config.gpu;
     // Conservative A-slot covering any claimable prefix.
-    let a_slot = a_slot_bytes(order.iter().map(|info| pg.chunk(info.id)));
+    let a_slot = a_slot_bytes(order.iter().map(|info| &pg.chunk(info.id).desc));
 
     // Projected completion of a claimed prefix, simulated in the same
     // row-grouped order the executor will actually run it in — claim
@@ -127,12 +127,8 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
         )
         .ok()?;
         for info in ChunkGrid::grouped_desc(prefix) {
-            let chunk = pg.chunk(info.id);
             session
-                .push(&ChunkAttempt {
-                    chunk,
-                    row: info.id.row,
-                })
+                .push(&ChunkAttempt::whole(pg.chunk(info.id), info.id.row))
                 .ok()?;
         }
         Some(session.projected_finish())
@@ -164,7 +160,7 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
             None
         };
         let cpu_steal_clock = {
-            let chunk = pg.chunk(order[tail - 1].id);
+            let chunk = &pg.chunk(order[tail - 1].id).desc;
             cpu_clock + cfg.cost.cpu_chunk_duration(chunk.flops, chunk.nnz)
         };
         let gpu_turn = match gpu_if_claim {

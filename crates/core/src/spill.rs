@@ -27,12 +27,12 @@
 use crate::assemble::assemble;
 use crate::chunks::ChunkId;
 use crate::config::OocConfig;
-use crate::executor::{execution_order, plan_panels, prepare_grid, simulate_order};
+use crate::executor::{execution_order, plan_panels, prepare_grid, run_on_device};
 use crate::faults::{self, HostFaultKind, HostFaultState};
 use crate::plan::PanelPlan;
 use crate::recovery::RecoveryReport;
 use crate::{OocError, Result};
-use gpu_sim::{GpuSim, SimTime};
+use gpu_sim::SimTime;
 use sparse::io::binary::{read_binary, to_bytes};
 use sparse::CsrMatrix;
 use std::path::{Path, PathBuf};
@@ -439,9 +439,10 @@ pub struct SpilledRun {
     /// How many panels [`SpilledMatrix::resume`] had to recompute
     /// (0 for a fresh [`multiply_to_disk`] run).
     pub recomputed_panels: usize,
-    /// Host-side fault accounting: spill read/write retries and shard
-    /// corruptions injected by the configured [`crate::HostFaultPlan`]
-    /// (all zeros when no plan is set).
+    /// What recovery did: the device run's counts (a fresh
+    /// [`multiply_to_disk`] run) plus the spill side's read/write
+    /// retries and shard corruptions injected by the configured
+    /// [`crate::HostFaultPlan`] (all zeros for a fault-free run).
     pub recovery: RecoveryReport,
 }
 
@@ -458,6 +459,9 @@ fn exact(config: &OocConfig) -> OocConfig {
 /// row panel plus one chunk. The manifest is rewritten after every
 /// shard, so an interrupted run can be completed with
 /// [`SpilledMatrix::resume`].
+/// The device run is [`crate::OutOfCoreGpu::multiply`]'s under the exact
+/// planner, fault plans and budget included; its recovery counts are
+/// merged into [`SpilledRun::recovery`], and it never changes a shard.
 pub fn multiply_to_disk(
     a: &CsrMatrix,
     b: &CsrMatrix,
@@ -466,10 +470,10 @@ pub fn multiply_to_disk(
 ) -> Result<SpilledRun> {
     std::fs::create_dir_all(dir)
         .map_err(|e| OocError::Config(format!("cannot create {}: {e}", dir.display())))?;
-    let pg = prepare_grid(a, b, &exact(config))?;
+    let config = &exact(config);
+    let pg = prepare_grid(a, b, config)?;
     let order = execution_order(&pg, config);
-    let mut sim = GpuSim::new(config.device.clone(), config.cost.clone());
-    let sim_ns = simulate_order(&mut sim, &pg, &order, config)?;
+    let device = run_on_device(a, &pg, &order, config)?;
 
     let mut row_bounds: Vec<usize> = pg.plan.row_ranges.iter().map(|r| r.start).collect();
     row_bounds.push(pg.plan.row_ranges.last().map_or(0, |r| r.end));
@@ -503,7 +507,7 @@ pub fn multiply_to_disk(
             .collect();
         assemble(&sub_plan, &chunk_refs)
     };
-    let mut recovery = RecoveryReport::default();
+    let mut recovery = device.recovery;
     let mut host = config
         .host_faults
         .as_ref()
@@ -552,7 +556,7 @@ pub fn multiply_to_disk(
 
     Ok(SpilledRun {
         c: spilled,
-        sim_ns,
+        sim_ns: device.sim_ns,
         flops: pg.total_flops(),
         plan: pg.plan,
         recomputed_panels: 0,
@@ -788,6 +792,40 @@ mod tests {
         std::fs::remove_dir(&clean_dir).ok();
         run.c.remove().unwrap();
         std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn device_fault_plan_recovers_and_writes_the_clean_shards() {
+        let a = erdos_renyi(400, 400, 0.03, 47);
+        let clean_cfg = OocConfig::with_device_memory(1 << 18);
+        let faulty = (clean_cfg.clone()).fault_plan(gpu_sim::FaultPlan::seeded(5).all_rates(0.2));
+        let (clean_dir, dir) = (temp_dir("device_clean"), temp_dir("device_faults"));
+        let clean = multiply_to_disk(&a, &a, &clean_cfg, &clean_dir).unwrap();
+        let run = multiply_to_disk(&a, &a, &faulty, &dir).unwrap();
+        assert_eq!(clean.recovery, RecoveryReport::default());
+        assert!(
+            run.recovery.faults() > 0 && run.recovery.retries > 0,
+            "the device plan must fire and be recovered: {}",
+            run.recovery.summary()
+        );
+        // The device side is the in-memory executor's run, faults and
+        // all...
+        let in_mem = crate::OutOfCoreGpu::new(exact(&faulty))
+            .multiply(&a, &a)
+            .unwrap();
+        assert_eq!(run.sim_ns, in_mem.sim_ns);
+        assert_eq!(run.recovery, in_mem.recovery);
+        // ...and the shards are the clean run's, byte for byte.
+        assert!(run.c.num_panels() > 1);
+        assert_eq!(run.c.num_panels(), clean.c.num_panels());
+        for i in 0..run.c.num_panels() {
+            let read = |d: &Path| std::fs::read(SpilledMatrix::shard_path(d, i)).unwrap();
+            assert_eq!(read(&dir), read(&clean_dir), "shard {i}");
+        }
+        for (m, d) in [(run.c, &dir), (clean.c, &clean_dir)] {
+            m.remove().unwrap();
+            std::fs::remove_dir(d).ok();
+        }
     }
 
     #[test]

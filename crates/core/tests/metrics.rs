@@ -30,7 +30,8 @@ fn prepared_sizes(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig, run: &OocRun
                 a_panel: CsrView::rows(a, range.start, range.end),
                 b_panel: &panel.matrix,
                 chunk_id: r * k_c + c,
-            });
+            })
+            .desc;
             out.push(Sizes {
                 a_bytes: p.a_bytes,
                 b_bytes: p.b_bytes,
@@ -263,14 +264,15 @@ proptest! {
     fn split_output_bytes_partitions_exactly(fraction in 0.0f64..=1.0, wild in -10.0f64..10.0) {
         let a = erdos_renyi(60, 50, 0.1, 1);
         let b = erdos_renyi(50, 80, 0.1, 2);
-        let p = prepare_chunk(ChunkJob {
+        let c = prepare_chunk(ChunkJob {
             a_panel: CsrView::of(&a),
             b_panel: &b,
             chunk_id: 0,
         });
-        let (first, second) = p.split_output_bytes(fraction);
+        let (p, offsets) = (&c.desc, c.result.row_offsets());
+        let (first, second) = p.split_output_bytes(offsets, fraction);
         prop_assert_eq!(first + second, p.out_bytes);
-        let (wf, ws) = p.split_output_bytes(wild);
+        let (wf, ws) = p.split_output_bytes(offsets, wild);
         prop_assert_eq!(wf + ws, p.out_bytes);
     }
 }

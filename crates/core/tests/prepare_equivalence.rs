@@ -15,7 +15,7 @@
 //! warm-pool test below checks on `spec` too.
 
 use cpu_spgemm::reference;
-use gpu_spgemm::{NumericGroups, PreparedChunk, RowGroups};
+use gpu_spgemm::{ChunkProduct, NumericGroups, RowGroups};
 use oocgemm::{prepare_grid, prepare_grid_pooled, OocConfig, PreparedGrid};
 use proptest::prelude::*;
 use sparse::gen::{erdos_renyi, grid2d_stencil, rmat, RmatConfig};
@@ -28,20 +28,17 @@ fn bits(m: &CsrMatrix) -> Vec<u64> {
 /// Chunk `got` against the oracle for the product of `a_panel` and
 /// `b_panel`.
 fn assert_chunk_matches_oracle(
-    got: &PreparedChunk,
+    chunk: &ChunkProduct,
     a_panel: &CsrMatrix,
     b_panel: &CsrMatrix,
     ctx: &str,
 ) {
+    let (got, result) = (&chunk.desc, &chunk.result);
     let expect = reference::multiply(a_panel, b_panel).expect("panels agree");
+    assert_eq!(result.row_offsets(), expect.row_offsets(), "{ctx}: offsets");
+    assert_eq!(result.col_ids(), expect.col_ids(), "{ctx}: cols");
     assert_eq!(
-        got.result.row_offsets(),
-        expect.row_offsets(),
-        "{ctx}: offsets"
-    );
-    assert_eq!(got.result.col_ids(), expect.col_ids(), "{ctx}: cols");
-    assert_eq!(
-        bits(&got.result),
+        bits(result),
         bits(&expect),
         "{ctx}: values must be bit-identical"
     );
@@ -97,7 +94,7 @@ fn assert_grid_matches_oracle(pg: &PreparedGrid, a: &CsrMatrix) {
         let range = &pg.plan.row_ranges[i / k_c];
         let a_panel = a.slice_rows(range.start, range.end);
         let b_panel = &pg.col_panels[i % k_c].matrix;
-        assert_eq!(chunk.chunk_id, i, "chunk {i}: chunk_id");
+        assert_eq!(chunk.desc.chunk_id, i, "chunk {i}: chunk_id");
         assert_chunk_matches_oracle(chunk, &a_panel, b_panel, &format!("chunk {i}"));
     }
 }
@@ -163,12 +160,13 @@ fn warm_pool_across_widths_changes_no_field() {
             assert_eq!(warm.plan.row_ranges, cold.plan.row_ranges);
             assert_eq!(warm.plan.col_ranges, cold.plan.col_ranges);
             assert_eq!(warm.prepared.len(), cold.prepared.len());
-            for (w, c) in warm.prepared.iter().zip(&cold.prepared) {
+            for (wp, cp) in warm.prepared.iter().zip(&cold.prepared) {
+                let (w, c) = (&wp.desc, &cp.desc);
                 let ctx = format!("chunk {}", w.chunk_id);
                 assert_eq!(w.chunk_id, c.chunk_id, "{ctx}");
-                assert_eq!(w.result.row_offsets(), c.result.row_offsets(), "{ctx}");
-                assert_eq!(w.result.col_ids(), c.result.col_ids(), "{ctx}");
-                assert_eq!(bits(&w.result), bits(&c.result), "{ctx}");
+                assert_eq!(wp.result.row_offsets(), cp.result.row_offsets(), "{ctx}");
+                assert_eq!(wp.result.col_ids(), cp.result.col_ids(), "{ctx}");
+                assert_eq!(bits(&wp.result), bits(&cp.result), "{ctx}");
                 assert_eq!(w.groups, c.groups, "{ctx}");
                 assert_eq!(w.numeric_groups, c.numeric_groups, "{ctx}");
                 assert_eq!(w.flops, c.flops, "{ctx}");

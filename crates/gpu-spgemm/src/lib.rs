@@ -31,7 +31,7 @@ pub mod sync;
 
 pub use alternatives::{esc_chunk, rmerge_chunk, AltChunkReport};
 pub use phases::{
-    prepare_chunk, prepare_chunk_with, ChunkJob, NumericGroups, PreparedChunk, RowGroups,
-    GROUP_BOUNDS, NNZ_GROUP_BOUNDS, ROW_BLOCK,
+    describe_rows, prepare_chunk, prepare_chunk_with, ChunkJob, ChunkProduct, NumericGroups,
+    PreparedChunk, RowGroups, GROUP_BOUNDS, NNZ_GROUP_BOUNDS, ROW_BLOCK,
 };
 pub use sync::{simulate_sync_chunk, sync_chunk, SyncChunkReport};

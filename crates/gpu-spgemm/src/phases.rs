@@ -13,6 +13,7 @@ use accum::ScratchPool;
 use cpu_spgemm::parallel_hash;
 use rayon::prelude::*;
 use sparse::{CsrMatrix, CsrView};
+use std::mem::take;
 
 /// Flop boundaries of the row groups used for load balancing, matching
 /// the magnitude binning spECK performs host-side. A row with flop
@@ -137,14 +138,13 @@ impl NumericGroups {
     }
 }
 
-/// A fully prepared chunk: real output plus everything the simulator
-/// needs to charge its phases.
-#[derive(Clone, Debug)]
+/// Everything the simulator charges a chunk (or a re-split piece of
+/// one) from. It owns no product, so recovery derives, grows and strips
+/// descriptors without touching a result.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PreparedChunk {
     /// Chunk identifier.
     pub chunk_id: usize,
-    /// The real product of the panels (local column ids).
-    pub result: CsrMatrix,
     /// Symbolic-phase row groups (binned by flops).
     pub groups: RowGroups,
     /// Numeric-phase row groups (re-binned by output size).
@@ -170,9 +170,18 @@ pub struct PreparedChunk {
     /// Bytes of the output chunk (col ids + values + offsets).
     pub out_bytes: u64,
     /// Speculative-execution descriptors, present when the chunk was
-    /// prepared under an estimator (see [`attach_speculation`]).
+    /// prepared under an estimator (see [`prepare_chunk_with`]).
     /// `None` chunks follow the exact symbolic schedule.
     pub spec: Option<SpeculativeInfo>,
+}
+
+/// A prepared chunk: its descriptor and its real product.
+#[derive(Clone, Debug)]
+pub struct ChunkProduct {
+    /// What the simulator charges for the chunk.
+    pub desc: PreparedChunk,
+    /// The real product of the panels (local column ids).
+    pub result: CsrMatrix,
 }
 
 /// What a speculative GPU run of this chunk would do: allocate
@@ -251,18 +260,59 @@ pub fn row_analysis_into(a_panel: &CsrView<'_>, b_panel: &CsrMatrix, out: &mut [
         });
 }
 
-fn finish_chunk(
-    job: &ChunkJob<'_>,
-    flops: u64,
-    groups: RowGroups,
-    numeric_groups: NumericGroups,
-    result: CsrMatrix,
+/// The one descriptor builder: what [`prepare_chunk_with`] records for
+/// `job`, from the job's output row offsets (`rows + 1` entries, of
+/// which only differences are read). The preparation passes its
+/// product's offsets. Recovery passes a re-split piece's slice of its
+/// parent's offsets and so describes the piece without a kernel call:
+/// rows of a product are independent, so a row range of a chunk's
+/// product is the product of that row range. Row flops come from
+/// `row_flops_prefix` under the rule of [`prepare_chunk_with`], else
+/// from row analysis; `estimate` attaches the speculative descriptor
+/// from the same row flops.
+pub fn describe_rows(
+    job: ChunkJob<'_>,
+    offsets: &[usize],
+    pool: &ScratchPool,
+    row_flops_prefix: Option<&[u64]>,
+    estimate: Option<&EstimateConfig>,
 ) -> PreparedChunk {
-    let a = &job.a_panel;
-    let nnz = result.nnz() as u64;
+    let (a, b) = (&job.a_panel, job.b_panel);
+    assert_eq!(a.n_cols(), b.n_rows(), "panel dimensions must agree");
     let rows = a.n_rows();
-    PreparedChunk {
+    assert_eq!(
+        offsets.len(),
+        rows + 1,
+        "one output offset per row, plus one"
+    );
+    // Borrow the reusable per-row arrays out of a pooled bundle (the
+    // bundle itself goes straight back so the sampler can lease it).
+    let (mut row_flops, mut row_nnz) =
+        pool.with(|s| (take(&mut s.flops_buf), take(&mut s.nnz_buf)));
+    row_flops.clear();
+    row_flops.resize(rows, 0);
+    match row_flops_prefix {
+        Some(prefix) => {
+            assert_eq!(prefix.len(), rows + 1, "prefix must cover the panel rows");
+            for (slot, w) in row_flops.iter_mut().zip(prefix.windows(2)) {
+                *slot = w[1] - w[0];
+            }
+            debug_assert_eq!(
+                row_flops,
+                row_analysis(a, b),
+                "cached flop prefix diverged from row analysis"
+            );
+        }
+        None => row_analysis_into(a, b, &mut row_flops),
+    }
+    row_nnz.clear();
+    row_nnz.extend(offsets.windows(2).map(|w| w[1] - w[0]));
+    let flops: u64 = row_flops.iter().sum();
+    let nnz = (offsets[rows] - offsets[0]) as u64;
+    let desc = PreparedChunk {
         chunk_id: job.chunk_id,
+        groups: RowGroups::from_row_flops(&row_flops),
+        numeric_groups: NumericGroups::from_row_nnz(&row_nnz, &row_flops),
         compression_ratio: if nnz == 0 {
             1.0
         } else {
@@ -273,58 +323,44 @@ fn finish_chunk(
         rows,
         a_nnz: a.nnz() as u64,
         a_bytes: a.storage_bytes() as u64,
-        b_bytes: job.b_panel.storage_bytes() as u64,
+        b_bytes: b.storage_bytes() as u64,
         row_info_bytes: rows as u64 * 8,
         row_nnz_bytes: rows as u64 * 8,
         out_bytes: nnz * BYTES_PER_NNZ + (rows as u64 + 1) * 8,
-        groups,
-        numeric_groups,
-        result,
-        spec: None,
-    }
+        spec: estimate.map(|cfg| speculate(&job, &row_flops, &row_nnz, cfg, pool)),
+    };
+    pool.with(|s| {
+        s.flops_buf = row_flops;
+        s.nnz_buf = row_nnz;
+    });
+    desc
 }
 
-/// Attaches speculative-execution descriptors to a prepared chunk,
-/// sized by an estimation model sampled from the chunk's own panels.
-///
-/// Row analysis runs once; its flops feed both the chunk's model
-/// ([`build_model_from_flops`] on `a_panel` against `b_panel`, scratch
-/// leased from `pool`) and the per-row estimates. A model sampled per
-/// chunk sees compression that depends on the column panel — a web
-/// crawl's diagonal panel compresses far more than its off-diagonal
-/// ones — which one model sampled over full-width rows cannot.
-///
-/// The estimate reads only the panels, never the chunk's result, so it
-/// is what a device could compute before the product exists. A
-/// post-pass over the finished chunk, it cannot perturb the real
-/// product; the result is read afterwards only to count rows whose
-/// estimate fell short.
-/// Deterministic given `cfg`, the panels, and nothing else.
-pub fn attach_speculation(
-    chunk: &mut PreparedChunk,
-    a_panel: &CsrView<'_>,
-    b_panel: &CsrMatrix,
+/// The speculative descriptor of a job, sized by an estimation model
+/// sampled from the job's own panels ([`build_model_from_flops`]): a
+/// per-chunk model sees compression that depends on the column panel,
+/// as on a web crawl's diagonal panel. The estimate reads only the
+/// panels, so a device could compute it before the product exists; the
+/// actual row sizes only count rows whose estimate fell short.
+fn speculate(
+    job: &ChunkJob<'_>,
+    row_flops: &[u64],
+    row_nnz: &[usize],
     cfg: &EstimateConfig,
     pool: &ScratchPool,
-) {
-    let rows = a_panel.n_rows();
-    debug_assert_eq!(rows, chunk.rows);
-    let row_flops = row_analysis(a_panel, b_panel);
-    let model = build_model_from_flops(a_panel, b_panel, &row_flops, cfg, pool);
-    let est_rows = model.estimate_rows(&row_flops, b_panel.n_cols());
+) -> SpeculativeInfo {
+    let (a, b) = (&job.a_panel, job.b_panel);
+    let model = build_model_from_flops(a, b, row_flops, cfg, pool);
+    let est_rows = model.estimate_rows(row_flops, b.n_cols());
     let est_nnz: u64 = est_rows.iter().map(|&n| n as u64).sum();
-    let offsets = chunk.result.row_offsets();
-    let row_overflows = (0..rows)
-        .filter(|&r| (offsets[r + 1] - offsets[r]) > est_rows[r])
-        .count() as u64;
-    let est_groups = NumericGroups::from_row_nnz(&est_rows, &row_flops);
-    chunk.spec = Some(SpeculativeInfo {
+    let row_overflows = row_nnz.iter().zip(&est_rows).filter(|(n, e)| n > e).count();
+    SpeculativeInfo {
         est_nnz,
-        est_out_bytes: est_nnz * BYTES_PER_NNZ + (rows as u64 + 1) * 8,
-        row_overflows,
-        est_group_flops: est_groups.group_flops,
+        est_out_bytes: est_nnz * BYTES_PER_NNZ + (a.n_rows() as u64 + 1) * 8,
+        row_overflows: row_overflows as u64,
+        est_group_flops: NumericGroups::from_row_nnz(&est_rows, row_flops).group_flops,
         sampled_rows: model.sampled_rows as u64,
-    });
+    }
 }
 
 /// Prepares a chunk: computes its row flops and its real product, and
@@ -332,14 +368,14 @@ pub fn attach_speculation(
 /// grouping, output-size regrouping, bytes).
 ///
 /// Convenience wrapper over [`prepare_chunk_with`] with a private
-/// scratch pool and no cached flop prefix; callers preparing many
-/// chunks should share one [`ScratchPool`] instead.
-pub fn prepare_chunk(job: ChunkJob<'_>) -> PreparedChunk {
-    prepare_chunk_with(job, &ScratchPool::new(), None)
+/// scratch pool, no cached flop prefix and no estimator; callers
+/// preparing many chunks should share one [`ScratchPool`] instead.
+pub fn prepare_chunk(job: ChunkJob<'_>) -> ChunkProduct {
+    prepare_chunk_with(job, &ScratchPool::new(), None, None)
 }
 
-/// [`prepare_chunk`] with worker scratch leased from `pool` and an
-/// optional cached flop prefix.
+/// [`prepare_chunk`] with worker scratch leased from `pool`, an
+/// optional cached flop prefix, and an optional estimator.
 ///
 /// The product comes from [`parallel_hash::multiply_view_with`], the
 /// CPU baseline's kernel, and each row's output size is read off its
@@ -356,52 +392,20 @@ pub fn prepare_chunk(job: ChunkJob<'_>) -> PreparedChunk {
 /// (both were built by the same `2·Σ nnz(B_k*)` formula); a
 /// debug assertion cross-checks the derived counts against a fresh
 /// [`row_analysis`].
+///
+/// `estimate`, when given, attaches the speculative descriptor
+/// ([`SpeculativeInfo`]). It changes how the simulation sizes and
+/// schedules the chunk, never the product.
 pub fn prepare_chunk_with(
     job: ChunkJob<'_>,
     pool: &ScratchPool,
     row_flops_prefix: Option<&[u64]>,
-) -> PreparedChunk {
-    let a = &job.a_panel;
-    let b = job.b_panel;
-    assert_eq!(a.n_cols(), b.n_rows(), "panel dimensions must agree");
-    let rows = a.n_rows();
-    // Borrow the reusable per-row arrays out of a pooled bundle for the
-    // duration of the chunk (the bundle itself goes straight back so
-    // the kernel's workers can lease it).
-    let (mut row_flops, mut row_nnz) = pool.with(|s| {
-        (
-            std::mem::take(&mut s.flops_buf),
-            std::mem::take(&mut s.nnz_buf),
-        )
-    });
-    row_flops.clear();
-    row_flops.resize(rows, 0);
-    match row_flops_prefix {
-        Some(prefix) => {
-            assert_eq!(prefix.len(), rows + 1, "prefix must cover the panel rows");
-            for (i, w) in prefix.windows(2).enumerate() {
-                row_flops[i] = w[1] - w[0];
-            }
-            debug_assert_eq!(
-                row_flops,
-                row_analysis(a, b),
-                "cached flop prefix diverged from row analysis"
-            );
-        }
-        None => row_analysis_into(a, b, &mut row_flops),
-    }
-    let flops: u64 = row_flops.iter().sum();
-    let groups = RowGroups::from_row_flops(&row_flops);
-    let result =
-        parallel_hash::multiply_view_with(a, b, pool).expect("panel dimensions were checked");
-    row_nnz.clear();
-    row_nnz.extend(result.row_offsets().windows(2).map(|w| w[1] - w[0]));
-    let numeric_groups = NumericGroups::from_row_nnz(&row_nnz, &row_flops);
-    pool.with(|s| {
-        s.flops_buf = row_flops;
-        s.nnz_buf = row_nnz;
-    });
-    finish_chunk(&job, flops, groups, numeric_groups, result)
+    estimate: Option<&EstimateConfig>,
+) -> ChunkProduct {
+    let result = parallel_hash::multiply_view_with(&job.a_panel, job.b_panel, pool)
+        .expect("panel dimensions must agree");
+    let desc = describe_rows(job, result.row_offsets(), pool, row_flops_prefix, estimate);
+    ChunkProduct { desc, result }
 }
 
 impl PreparedChunk {
@@ -438,9 +442,13 @@ impl PreparedChunk {
     /// two portions. Both portions carry their share of col ids and
     /// values; the first also carries the row offsets.
     ///
+    /// `offsets` are the chunk's output row offsets as [`describe_rows`]
+    /// takes them, so a re-split piece passes its parent's slice.
+    ///
     /// Out-of-range fractions (including NaN) are clamped to `[0, 1]`;
     /// the sum of the two portions always equals `out_bytes`.
-    pub fn split_output_bytes(&self, fraction: f64) -> (u64, u64) {
+    pub fn split_output_bytes(&self, offsets: &[usize], fraction: f64) -> (u64, u64) {
+        debug_assert_eq!(offsets.len(), self.rows + 1, "one offset per row, plus one");
         // clamp() propagates NaN; map it to 0 explicitly.
         let fraction = if fraction.is_nan() {
             0.0
@@ -448,11 +456,7 @@ impl PreparedChunk {
             fraction.clamp(0.0, 1.0)
         };
         let rows_first = ((self.rows as f64 * fraction).round() as usize).min(self.rows);
-        let entries_first: u64 = if self.rows == 0 {
-            0
-        } else {
-            self.result.row_offsets()[rows_first] as u64
-        };
+        let entries_first = (offsets[rows_first] - offsets[0]) as u64;
         let first = entries_first * BYTES_PER_NNZ + (self.rows as u64 + 1) * 8;
         let second = self.out_bytes.saturating_sub(first);
         (first, second)
@@ -472,6 +476,14 @@ mod tests {
         (a, b)
     }
 
+    fn whole_job<'a>(a: &'a CsrMatrix, b: &'a CsrMatrix) -> ChunkJob<'a> {
+        ChunkJob {
+            a_panel: CsrView::of(a),
+            b_panel: b,
+            chunk_id: 0,
+        }
+    }
+
     #[test]
     fn row_analysis_matches_stats() {
         let (a, b) = job_fixture();
@@ -483,15 +495,11 @@ mod tests {
     #[test]
     fn symbolic_matches_stats() {
         let (a, b) = job_fixture();
-        let p = prepare_chunk(ChunkJob {
-            a_panel: CsrView::of(&a),
-            b_panel: &b,
-            chunk_id: 0,
-        });
+        let p = prepare_chunk(whole_job(&a, &b));
         let row_nnz = sparse::stats::symbolic_row_nnz(&a, &b);
         let row_flops = sparse::stats::row_flops(&a, &b);
         assert_eq!(
-            p.numeric_groups,
+            p.desc.numeric_groups,
             NumericGroups::from_row_nnz(&row_nnz, &row_flops)
         );
     }
@@ -539,17 +547,13 @@ mod tests {
             coo.push(r, r, 2.0).unwrap();
         }
         let a = coo.to_csr();
-        let p = prepare_chunk(ChunkJob {
-            a_panel: CsrView::of(&a),
-            b_panel: &a,
-            chunk_id: 0,
-        });
+        let p = prepare_chunk(whole_job(&a, &a));
         assert_eq!(p.result, reference::multiply(&a, &a).unwrap());
         let offsets = p.result.row_offsets();
         let row_sizes: Vec<usize> = (0..4).map(|r| offsets[r + 1] - offsets[r]).collect();
         assert_eq!(row_sizes, sizes);
         assert_eq!(
-            p.numeric_groups.len(),
+            p.desc.numeric_groups.len(),
             4,
             "expected all four numeric groups"
         );
@@ -558,17 +562,14 @@ mod tests {
     #[test]
     fn prepared_chunk_is_real_product() {
         let (a, b) = job_fixture();
-        let prepared = prepare_chunk(ChunkJob {
-            a_panel: CsrView::of(&a),
-            b_panel: &b,
-            chunk_id: 0,
-        });
+        let prepared = prepare_chunk(whole_job(&a, &b));
         let expect = reference::multiply(&a, &b).unwrap();
         assert!(prepared.result.approx_eq(&expect, 1e-9));
-        assert_eq!(prepared.nnz, expect.nnz() as u64);
-        assert_eq!(prepared.flops, sparse::stats::total_flops(&a, &b));
-        assert!(prepared.compression_ratio >= 1.0);
-        assert_eq!(prepared.out_bytes, prepared.nnz * 12 + 61 * 8);
+        let d = &prepared.desc;
+        assert_eq!(d.nnz, expect.nnz() as u64);
+        assert_eq!(d.flops, sparse::stats::total_flops(&a, &b));
+        assert!(d.compression_ratio >= 1.0);
+        assert_eq!(d.out_bytes, d.nnz * 12 + 61 * 8);
     }
 
     #[test]
@@ -593,8 +594,7 @@ mod tests {
         assert!(joined.approx_eq(&full, 1e-9));
     }
 
-    fn assert_chunks_identical(got: &PreparedChunk, expect: &PreparedChunk) {
-        assert_eq!(got.chunk_id, expect.chunk_id);
+    fn assert_chunks_identical(got: &ChunkProduct, expect: &ChunkProduct) {
         assert_eq!(got.result.row_offsets(), expect.result.row_offsets());
         assert_eq!(got.result.col_ids(), expect.result.col_ids());
         let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -603,22 +603,11 @@ mod tests {
             bits(&expect.result),
             "values must be bit-identical"
         );
-        assert_eq!(got.groups, expect.groups);
-        assert_eq!(got.numeric_groups, expect.numeric_groups);
-        assert_eq!(got.flops, expect.flops);
-        assert_eq!(got.nnz, expect.nnz);
+        assert_eq!(got.desc, expect.desc);
         assert_eq!(
-            got.compression_ratio.to_bits(),
-            expect.compression_ratio.to_bits()
+            got.desc.compression_ratio.to_bits(),
+            expect.desc.compression_ratio.to_bits()
         );
-        assert_eq!(got.rows, expect.rows);
-        assert_eq!(got.a_nnz, expect.a_nnz);
-        assert_eq!(got.a_bytes, expect.a_bytes);
-        assert_eq!(got.b_bytes, expect.b_bytes);
-        assert_eq!(got.row_info_bytes, expect.row_info_bytes);
-        assert_eq!(got.row_nnz_bytes, expect.row_nnz_bytes);
-        assert_eq!(got.out_bytes, expect.out_bytes);
-        assert_eq!(got.spec, expect.spec);
     }
 
     #[test]
@@ -637,52 +626,61 @@ mod tests {
             chunk_id: 3,
         };
         let pool = accum::ScratchPool::new();
-        let with_prefix = prepare_chunk_with(job, &pool, Some(&prefix));
-        let without = prepare_chunk_with(job, &pool, None);
+        let with_prefix = prepare_chunk_with(job, &pool, Some(&prefix), None);
+        let without = prepare_chunk_with(job, &pool, None, None);
         assert_chunks_identical(&with_prefix, &without);
+    }
+
+    #[test]
+    fn row_slice_descriptor_equals_sub_job_preparation() {
+        let (a, b) = job_fixture();
+        let whole = prepare_chunk(whole_job(&a, &b));
+        let offsets = whole.result.row_offsets();
+        for (lo, hi) in [(0, 60), (0, 0), (17, 18), (5, 41), (59, 60), (60, 60)] {
+            let job = ChunkJob {
+                a_panel: CsrView::rows(&a, lo, hi),
+                b_panel: &b,
+                chunk_id: 9,
+            };
+            let piece = describe_rows(job, &offsets[lo..=hi], &ScratchPool::new(), None, None);
+            let expect = prepare_chunk(job);
+            assert_eq!(piece, expect.desc, "rows {lo}..{hi}");
+            let (first, second) = piece.split_output_bytes(&offsets[lo..=hi], 0.33);
+            let sub = expect.result.row_offsets();
+            assert_eq!((first, second), expect.desc.split_output_bytes(sub, 0.33));
+        }
     }
 
     #[test]
     fn speculation_is_deterministic_and_never_mutates_result() {
         let (a, b) = job_fixture();
-        let av = CsrView::of(&a);
-        let job = ChunkJob {
-            a_panel: av,
-            b_panel: &b,
-            chunk_id: 0,
-        };
+        let job = whole_job(&a, &b);
         let exact = prepare_chunk(job);
-        let mut spec1 = exact.clone();
-        let mut spec2 = exact.clone();
         let cfg = EstimateConfig::default();
         // A warm pool and a cold one give the same descriptor.
         let pool = ScratchPool::new();
-        attach_speculation(&mut spec1, &av, &b, &cfg, &pool);
-        attach_speculation(&mut spec2, &av, &b, &cfg, &ScratchPool::new());
-        assert_eq!(spec1.spec, spec2.spec);
-        let s = spec1.spec.as_ref().unwrap();
+        prepare_chunk_with(job, &pool, None, Some(&cfg));
+        let spec1 = prepare_chunk_with(job, &pool, None, Some(&cfg));
+        let spec2 = prepare_chunk_with(job, &ScratchPool::new(), None, Some(&cfg));
+        assert_eq!(spec1.desc.spec, spec2.desc.spec);
+        let s = spec1.desc.spec.as_ref().unwrap();
         assert!(s.est_nnz > 0);
         assert!(s.sampled_rows > 0, "the chunk's own model samples its rows");
         assert_eq!(s.est_out_bytes, s.est_nnz * 12 + 61 * 8);
-        // The real product is untouched.
-        spec1.spec = None;
-        assert_chunks_identical(&spec1, &exact);
+        // The real product and the exact descriptor are untouched.
+        let mut stripped = spec1;
+        stripped.desc.spec = None;
+        assert_chunks_identical(&stripped, &exact);
     }
 
     #[test]
     fn upper_bound_speculation_never_overflows() {
         let (a, b) = job_fixture();
-        let av = CsrView::of(&a);
-        let mut p = prepare_chunk(ChunkJob {
-            a_panel: av,
-            b_panel: &b,
-            chunk_id: 0,
-        });
         let cfg = EstimateConfig {
             kind: accum::EstimatorKind::UpperBound,
             ..EstimateConfig::default()
         };
-        attach_speculation(&mut p, &av, &b, &cfg, &ScratchPool::new());
+        let p = prepare_chunk_with(whole_job(&a, &b), &ScratchPool::new(), None, Some(&cfg)).desc;
         let s = p.spec.as_ref().unwrap();
         assert_eq!(s.sampled_rows, 0, "the bound samples nothing");
         assert!(!s.overflowed(p.out_bytes));
@@ -693,18 +691,12 @@ mod tests {
     #[test]
     fn grown_chunk_cannot_overflow() {
         let (a, b) = job_fixture();
-        let av = CsrView::of(&a);
-        let mut p = prepare_chunk(ChunkJob {
-            a_panel: av,
-            b_panel: &b,
-            chunk_id: 0,
-        });
         // Force gross under-allocation, then grow.
         let cfg = EstimateConfig {
             headroom: 0.01,
             ..EstimateConfig::default()
         };
-        attach_speculation(&mut p, &av, &b, &cfg, &ScratchPool::new());
+        let p = prepare_chunk_with(whole_job(&a, &b), &ScratchPool::new(), None, Some(&cfg)).desc;
         assert!(p.spec.as_ref().unwrap().overflowed(p.out_bytes));
         let g = p.grown();
         let s = g.spec.as_ref().unwrap();
@@ -716,18 +708,15 @@ mod tests {
     #[test]
     fn split_output_respects_fraction() {
         let (a, b) = job_fixture();
-        let p = prepare_chunk(ChunkJob {
-            a_panel: CsrView::of(&a),
-            b_panel: &b,
-            chunk_id: 0,
-        });
-        let (first, second) = p.split_output_bytes(0.33);
+        let ChunkProduct { desc: p, result } = prepare_chunk(whole_job(&a, &b));
+        let offsets = result.row_offsets();
+        let (first, second) = p.split_output_bytes(offsets, 0.33);
         assert_eq!(first + second, p.out_bytes);
         assert!(first > 0);
-        let (all, none) = p.split_output_bytes(1.0);
+        let (all, none) = p.split_output_bytes(offsets, 1.0);
         assert_eq!(all, p.out_bytes);
         assert_eq!(none, 0);
-        let (offsets_only, rest) = p.split_output_bytes(0.0);
+        let (offsets_only, rest) = p.split_output_bytes(offsets, 0.0);
         assert_eq!(offsets_only, (p.rows as u64 + 1) * 8);
         assert_eq!(rest, p.nnz * 12);
     }
@@ -735,16 +724,13 @@ mod tests {
     #[test]
     fn split_output_clamps_wild_fractions() {
         let (a, b) = job_fixture();
-        let p = prepare_chunk(ChunkJob {
-            a_panel: CsrView::of(&a),
-            b_panel: &b,
-            chunk_id: 0,
-        });
-        assert_eq!(p.split_output_bytes(-3.0), p.split_output_bytes(0.0));
-        assert_eq!(p.split_output_bytes(42.0), p.split_output_bytes(1.0));
-        assert_eq!(p.split_output_bytes(f64::NAN), p.split_output_bytes(0.0));
+        let ChunkProduct { desc: p, result } = prepare_chunk(whole_job(&a, &b));
+        let split = |f: f64| p.split_output_bytes(result.row_offsets(), f);
+        assert_eq!(split(-3.0), split(0.0));
+        assert_eq!(split(42.0), split(1.0));
+        assert_eq!(split(f64::NAN), split(0.0));
         for f in [-1.0, 0.5, 2.0, f64::INFINITY, f64::NEG_INFINITY] {
-            let (first, second) = p.split_output_bytes(f);
+            let (first, second) = split(f);
             assert_eq!(first + second, p.out_bytes, "fraction {f}");
         }
     }
@@ -758,11 +744,11 @@ mod tests {
             b_panel: &b,
             chunk_id: 7,
         });
-        assert_eq!(p.flops, 0);
-        assert_eq!(p.nnz, 0);
-        assert!(p.groups.is_empty());
-        assert!(p.numeric_groups.is_empty());
-        assert_eq!(p.compression_ratio, 1.0);
+        assert_eq!(p.desc.flops, 0);
+        assert_eq!(p.desc.nnz, 0);
+        assert!(p.desc.groups.is_empty());
+        assert!(p.desc.numeric_groups.is_empty());
+        assert_eq!(p.desc.compression_ratio, 1.0);
         assert_eq!(p.result.n_rows(), 5);
     }
 }

@@ -7,7 +7,7 @@
 //! this driver exhibits the two costs the paper's asynchronous design
 //! removes: no transfer/compute overlap, and allocation stalls.
 
-use crate::phases::{prepare_chunk, ChunkJob, PreparedChunk};
+use crate::phases::{prepare_chunk, ChunkJob, ChunkProduct, PreparedChunk};
 use gpu_sim::{CopyDir, GpuSim, HostMem, KernelKind, OutOfDeviceMemory, SimTime, Stream};
 
 /// Host-side per-row cost of the grouping pass, ns.
@@ -18,8 +18,8 @@ const PREFIX_NS_PER_ROW: u64 = 1;
 /// Outcome of one synchronous chunk execution.
 #[derive(Debug)]
 pub struct SyncChunkReport {
-    /// The prepared chunk (real result + descriptors).
-    pub prepared: PreparedChunk,
+    /// The prepared chunk (descriptor + real result).
+    pub prepared: ChunkProduct,
     /// Simulated time at which the chunk (including its output
     /// transfer) completed.
     pub done_at: SimTime,
@@ -37,7 +37,7 @@ pub fn sync_chunk(
     transfer_a: bool,
 ) -> Result<SyncChunkReport, OutOfDeviceMemory> {
     let prepared = prepare_chunk(job);
-    let done_at = simulate_sync_chunk(sim, stream, &prepared, transfer_a)?;
+    let done_at = simulate_sync_chunk(sim, stream, &prepared.desc, transfer_a)?;
     Ok(SyncChunkReport { prepared, done_at })
 }
 

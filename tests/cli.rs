@@ -254,6 +254,23 @@ fn bad_supervision_flags_exit_2() {
 }
 
 #[test]
+fn repro_rejects_unknown_experiments_and_flags() {
+    for bad in ["bogus", "--bogus", "prep"] {
+        let out_dir = temp(&format!("repro_{}", bad.trim_start_matches('-')));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["table1", bad, "--out", out_dir.to_str().unwrap()])
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {bad}: {stderr}");
+        assert!(stderr.contains(bad), "repro {bad} names the word: {stderr}");
+        assert!(stderr.contains("usage: repro"), "repro {bad}: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {bad} ran something");
+        assert!(!out_dir.exists(), "repro {bad} created --out");
+    }
+}
+
+#[test]
 fn bad_estimator_flags_exit_2() {
     for args in [
         vec!["--gen", "rmat:10:8000:7", "--estimator", "crystal-ball"],
