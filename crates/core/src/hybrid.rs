@@ -370,10 +370,19 @@ impl Hybrid {
         // explicitly, so a panic surfaces here as an `Err` payload
         // instead of unwinding through the scope; the payload becomes a
         // structured `OocError::Worker` or, when draining is enabled,
-        // the main thread redoes the lost work.
+        // the main thread redoes the lost work. The two workers are the
+        // run's compute threads: each runs under a one-thread pool, so
+        // their kernels' parallel calls stay on the worker instead of
+        // taking the shared pool's helpers.
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("a one-thread pool always builds");
+        let run_worker =
+            |inject: bool| one_thread.install(|| catch_unwind(AssertUnwindSafe(|| worker(inject))));
         let (gpu_join, cpu_join) = crossbeam::thread::scope(|s| {
-            let gpu_worker = s.spawn(|_| catch_unwind(AssertUnwindSafe(|| worker(true))));
-            let cpu_worker = s.spawn(|_| catch_unwind(AssertUnwindSafe(|| worker(false))));
+            let gpu_worker = s.spawn(|_| run_worker(true));
+            let cpu_worker = s.spawn(|_| run_worker(false));
             (gpu_worker.join(), cpu_worker.join())
         })
         .map_err(|payload| OocError::Worker {

@@ -18,8 +18,12 @@
 //!
 //! Row blocks are independent tasks, so one pathological row holds up
 //! only its own block — the load-balancing role Nagasaka et al. give
-//! OpenMP dynamic scheduling; rayon's work stealing plays it here (the
-//! vendored `rayon` shim runs the tasks in order on one thread).
+//! OpenMP dynamic scheduling. The vendored `rayon` shim plays it here:
+//! host threads claim contiguous runs of blocks from one cursor, and
+//! each block writes only its own rows, so `C` is the same on any
+//! thread count. Called from inside a parallel caller (chunk
+//! preparation runs one chunk per task), both phases run on that
+//! caller's thread.
 
 use crate::check_dims;
 use accum::{AccumulatorKind, ScratchPool, DENSE_WIDTH_LIMIT};

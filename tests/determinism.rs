@@ -1,8 +1,12 @@
 //! Reproducibility: generators are byte-stable, simulated timelines are
 //! exactly repeatable, and results are independent of thread count.
 
-use oocgemm::{Hybrid, HybridConfig, OocConfig, OutOfCoreGpu};
-use sparse::gen::{suite, SuiteMatrix, SuiteScale};
+use oocgemm::{
+    prepare_grid, Hybrid, HybridConfig, OocConfig, OutOfCoreGpu, Outcome, Request, Service,
+    ServiceConfig,
+};
+use sparse::gen::{erdos_renyi, suite, SuiteMatrix, SuiteScale};
+use sparse::{ColId, CsrMatrix};
 
 #[test]
 fn suite_generation_is_byte_stable() {
@@ -51,21 +55,112 @@ fn hybrid_times_are_exactly_repeatable() {
     assert_eq!(r1.num_gpu_chunks, r2.num_gpu_chunks);
 }
 
+/// A matrix as exact bits: offsets, column ids and value bit patterns.
+fn bits(m: &CsrMatrix) -> (Vec<usize>, Vec<ColId>, Vec<u64>) {
+    (
+        m.row_offsets().to_vec(),
+        m.col_ids().to_vec(),
+        m.values().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// Runs `f` with parallel calls limited to `threads` threads.
+fn at_width<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool builds")
+        .install(f)
+}
+
+/// Everything a small service replay returns: per completion its id,
+/// product bits, metrics JSON and simulated timing.
+fn service_replay() -> Vec<String> {
+    let config = ServiceConfig::new().gpu(OocConfig::with_device_memory(1 << 19).panels(2, 2));
+    let mut svc = Service::new(config).expect("valid service config");
+    let keys: Vec<usize> = (0..3)
+        .map(|s| svc.intern(erdos_renyi(140, 140, 0.04, 21 + s)))
+        .collect();
+    for id in 0..9u64 {
+        let (a, b) = (keys[id as usize % 3], keys[(id as usize + 1) % 3]);
+        let tenant = format!("t{}", id % 2);
+        let req = if id % 4 == 3 {
+            Request::power(id, tenant, a, 2)
+        } else {
+            Request::multiply(id, tenant, a, b)
+        };
+        svc.submit(req.at(id * 50_000)).expect("valid request");
+    }
+    svc.drain()
+        .expect("service drains")
+        .into_iter()
+        .map(|done| match done.outcome {
+            Outcome::Completed {
+                c,
+                metrics,
+                start_ns,
+                finish_ns,
+                batch_hit,
+                ..
+            } => format!(
+                "{} {:?} {} {start_ns} {finish_ns} {batch_hit}",
+                done.id,
+                bits(&c),
+                serde_json::to_string(&*metrics).expect("metrics serialize"),
+            ),
+            other => format!("{} {other:?}", done.id),
+        })
+        .collect()
+}
+
 #[test]
 fn results_independent_of_thread_count() {
-    // The parallel executors must produce the same structure regardless
-    // of worker count; values agree to tolerance (summation order
-    // inside a row is fixed by the algorithm, so exact equality holds).
+    // One thread against a forced four: parts run on whichever thread
+    // claims them, and every result must still be bit for bit the same
+    // (DESIGN.md §7). `Metrics` holds no wall-clock field, so its whole
+    // JSON document is compared.
     let m = SuiteMatrix::Wiki1104.generate(SuiteScale::Tiny);
-    let wide = cpu_spgemm::parallel_hash::multiply(&m, &m).unwrap();
-    let narrow_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    let narrow = narrow_pool.install(|| cpu_spgemm::parallel_hash::multiply(&m, &m).unwrap());
-    assert_eq!(wide.row_offsets(), narrow.row_offsets());
-    assert_eq!(wide.col_ids(), narrow.col_ids());
-    assert!(wide.approx_eq(&narrow, 1e-12));
+    let kernel = |w| {
+        at_width(w, || {
+            bits(&cpu_spgemm::parallel_hash::multiply(&m, &m).unwrap())
+        })
+    };
+    assert_eq!(kernel(1), kernel(4), "parallel_hash::multiply");
+
+    let cfg = OocConfig::with_device_memory(1 << 20);
+    let grids = [1, 4].map(|w| at_width(w, || prepare_grid(&m, &m, &cfg).unwrap()));
+    assert_eq!(grids[0].prepared.len(), grids[1].prepared.len());
+    for (one, four) in grids[0].prepared.iter().zip(&grids[1].prepared) {
+        assert_eq!(one.desc, four.desc, "chunk descriptor");
+        assert_eq!(bits(&one.result), bits(&four.result), "chunk product");
+    }
+
+    let ooc = |w| {
+        at_width(w, || {
+            let run = OutOfCoreGpu::new(cfg.clone()).multiply(&m, &m).unwrap();
+            (bits(&run.c), serde_json::to_string(&run.metrics).unwrap())
+        })
+    };
+    assert_eq!(ooc(1), ooc(4), "OutOfCoreGpu::multiply");
+
+    let s = SuiteMatrix::Stokes.generate(SuiteScale::Tiny);
+    let hybrid = |w| {
+        at_width(w, || {
+            let config = HybridConfig {
+                gpu: OocConfig::with_device_memory(1 << 21),
+                ..HybridConfig::paper_default()
+            };
+            let run = Hybrid::new(config).multiply(&s, &s).unwrap();
+            (bits(&run.c), serde_json::to_string(&run.metrics).unwrap())
+        })
+    };
+    assert_eq!(hybrid(1), hybrid(4), "Hybrid::multiply");
+
+    assert_eq!(
+        at_width(1, service_replay),
+        at_width(4, service_replay),
+        "service replay"
+    );
 }
 
 #[test]
