@@ -517,12 +517,10 @@ fn main() {
                 eprintln!("{e}");
                 std::process::exit(2)
             });
-            let run = Hybrid::new(cfg)
-                .multiply_threaded(&a, &a)
-                .unwrap_or_else(|e| {
-                    eprintln!("executor failed: {e}");
-                    std::process::exit(1)
-                });
+            let run = Hybrid::new(cfg).multiply(&a, &a).unwrap_or_else(|e| {
+                eprintln!("executor failed: {e}");
+                std::process::exit(1)
+            });
             println!(
                 "assignment: {} GPU / {} CPU chunks at ratio hint {:.0}% (gpu {:.3} ms, cpu {:.3} ms)",
                 run.num_gpu_chunks,

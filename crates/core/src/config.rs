@@ -4,7 +4,6 @@ use crate::faults::HostFaultPlan;
 use crate::recovery::{RecoveryPolicy, RunBudget};
 use accum::estimate::{EstimateConfig, EstimatorKind};
 use gpu_sim::{CostModel, DeviceProps, FaultPlan};
-use sparse::partition::ColPartitioner;
 
 /// Synchronous vs asynchronous out-of-core execution (Section IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -50,8 +49,6 @@ pub struct OocConfig {
     pub reorder_chunks: bool,
     /// First-portion row fraction of the Figure 6 output split.
     pub split_fraction: f64,
-    /// Column partitioner implementation.
-    pub col_partitioner: ColPartitioner,
     /// Use pinned host buffers for transfers.
     pub pinned: bool,
     /// Number of streams/buffer epochs in the async pipeline. The
@@ -108,7 +105,6 @@ impl OocConfig {
             panels: None,
             reorder_chunks: true,
             split_fraction: DEFAULT_SPLIT_FRACTION,
-            col_partitioner: ColPartitioner::ParallelPrefixSum,
             pinned: true,
             pipeline_depth: 2,
             fault_plan: None,

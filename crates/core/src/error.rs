@@ -17,12 +17,13 @@ pub enum OocError {
     Planning(String),
     /// Configuration is internally inconsistent.
     Config(String),
-    /// An executor worker thread died; the payload carries the worker
-    /// name and the captured panic message.
+    /// A simulated executor worker was lost: an injected worker-panic
+    /// fault with draining disabled, or a chunk that exhausted its
+    /// retry budget and could not be demoted.
     Worker {
-        /// Which worker died (e.g. `"gpu"`, `"cpu"`).
+        /// Which worker was lost (`"gpu"`).
         worker: String,
-        /// The captured panic message.
+        /// What happened to it.
         message: String,
     },
     /// A spill directory or manifest is unusable (missing, corrupt, or

@@ -15,7 +15,7 @@ use accum::estimate::{EstimateConfig, EstimatorKind};
 use gpu_sim::{GpuSim, SimTime, Timeline};
 use gpu_spgemm::{phases, ChunkJob, ChunkProduct, PreparedChunk};
 use rayon::prelude::*;
-use sparse::partition::ColPanel;
+use sparse::partition::{ColPanel, ColPartitioner};
 use sparse::{CsrMatrix, CsrView};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -70,15 +70,9 @@ impl PreparedGrid {
 
     /// Prepares chunk `idx` (row-major) of the plan against a shared
     /// scratch pool, with the speculative descriptor attached when the
-    /// grid was planned from estimates — one path shared by
-    /// `prepare_grid` and the threaded hybrid, so their grids stay
-    /// field-identical.
-    pub(crate) fn prepare_chunk(
-        &self,
-        a: &CsrMatrix,
-        idx: usize,
-        pool: &accum::ScratchPool,
-    ) -> ChunkProduct {
+    /// grid was planned from estimates. [`prepare_grid_pooled`] calls it
+    /// for every chunk of the grid in parallel.
+    fn prepare_chunk(&self, a: &CsrMatrix, idx: usize, pool: &accum::ScratchPool) -> ChunkProduct {
         let k_c = self.plan.col_panels();
         let range = &self.plan.row_ranges[idx / k_c];
         let job = ChunkJob {
@@ -179,23 +173,6 @@ pub(crate) fn plan_panels<'m>(
     Ok((planner, plan))
 }
 
-/// The planning prologue of every grid preparation: validate, plan
-/// panels, partition B, and size the grid. The grid has no chunks yet;
-/// the caller fills `prepared` with [`PreparedGrid::prepare_chunk`].
-pub(crate) fn plan_grid(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig) -> Result<PreparedGrid> {
-    config.validate()?;
-    let (planner, plan) = plan_panels(a, b, config)?;
-    let col_panels = config.col_partitioner.partition(b, &plan.col_ranges);
-    Ok(PreparedGrid {
-        grid: ChunkGrid::compute(a, &plan, &col_panels),
-        prepared: Vec::new(),
-        row_flops_prefix: planner.row_flops_prefix().to_vec(),
-        estimator: planner.est_model().map(|_| config.estimator),
-        plan,
-        col_panels,
-    })
-}
-
 /// Plans, partitions and prepares every chunk of `C = a · b`.
 ///
 /// Chunk preparation — the host-side hot path — runs in parallel over
@@ -222,7 +199,17 @@ pub fn prepare_grid_pooled(
     config: &OocConfig,
     pool: &accum::ScratchPool,
 ) -> Result<PreparedGrid> {
-    let mut pg = plan_grid(a, b, config)?;
+    config.validate()?;
+    let (planner, plan) = plan_panels(a, b, config)?;
+    let col_panels = ColPartitioner::ParallelPrefixSum.partition(b, &plan.col_ranges);
+    let mut pg = PreparedGrid {
+        grid: ChunkGrid::compute(a, &plan, &col_panels),
+        prepared: Vec::new(),
+        row_flops_prefix: planner.row_flops_prefix().to_vec(),
+        estimator: planner.est_model().map(|_| config.estimator),
+        plan,
+        col_panels,
+    };
     pg.prepared = (0..pg.plan.num_chunks())
         .into_par_iter()
         .map(|i| pg.prepare_chunk(a, i, pool))

@@ -16,8 +16,8 @@ use crate::chunks::{ChunkGrid, ChunkInfo};
 use crate::config::{HybridConfig, OocConfig, SchedulerKind};
 use crate::error::OocError;
 use crate::executor::{
-    assemble_product, estimator_stats, plan_grid, prepare_grid, run_on_device, simulate_order,
-    DeviceRun, PreparedGrid,
+    assemble_product, estimator_stats, prepare_grid, run_on_device, simulate_order, DeviceRun,
+    PreparedGrid,
 };
 use crate::faults::{self, HostFaultState};
 use crate::metrics::{Metrics, SchedulerStats};
@@ -27,17 +27,6 @@ use crate::scheduler::assign;
 use crate::Result;
 use gpu_sim::{GpuSim, SimTime, Timeline};
 use sparse::CsrMatrix;
-
-/// Extracts a readable message from a captured panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
 
 /// A completed hybrid run.
 #[derive(Debug)]
@@ -200,22 +189,32 @@ impl Hybrid {
 
     /// The shared back half of every hybrid entry point: schedule the
     /// prepared chunks, run both simulated workers, assemble, and
-    /// account. `gpu_dead` models a GPU worker lost before the pipeline
-    /// ran (threaded drain path): every chunk the scheduler gave the
-    /// GPU is demoted and recomputed on the CPU clock.
-    fn run_prepared(
-        &self,
-        a: &CsrMatrix,
-        pg: &PreparedGrid,
-        gpu_dead: bool,
-        base_recovery: RecoveryReport,
-    ) -> Result<HybridRun> {
+    /// account.
+    ///
+    /// The fault plan's worker-panic trigger loses the GPU worker when
+    /// the scheduler gave it at least `worker_panic_after` chunks. With
+    /// `drain_worker_panics` the GPU pipeline never runs and every
+    /// chunk of its share is demoted and recomputed on the CPU clock;
+    /// otherwise the run fails with [`OocError::Worker`].
+    fn run_prepared(&self, a: &CsrMatrix, pg: &PreparedGrid) -> Result<HybridRun> {
         let order = self.ordered_chunks(pg);
         let assignment = assign(&self.config, pg, &order);
         // Assignment follows the configured policy; execution on the
         // GPU groups its chunks by row panel to keep A resident.
         let gpu_order = ChunkGrid::grouped_desc(&assignment.gpu);
-        let mut recovery = base_recovery;
+        let mut recovery = RecoveryReport::default();
+        let share = assignment.gpu.len() as u64;
+        let trigger = (self.config.gpu.fault_plan.as_ref()).and_then(|p| p.worker_panic_after);
+        let gpu_dead = trigger.is_some_and(|n| share >= n);
+        if gpu_dead {
+            if !self.config.gpu.recovery.drain_worker_panics {
+                return Err(OocError::Worker {
+                    worker: "gpu".to_string(),
+                    message: format!("injected gpu worker fault with {share} chunks assigned"),
+                });
+            }
+            recovery.worker_panics += 1;
+        }
 
         // Assignment above already happened on exact per-chunk
         // flops/nnz — the estimator only sizes device allocations.
@@ -288,7 +287,7 @@ impl Hybrid {
     pub fn multiply(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
         self.config.validate()?;
         let pg = prepare_grid(a, b, &self.config.gpu)?;
-        self.run_prepared(a, &pg, false, RecoveryReport::default())
+        self.run_prepared(a, &pg)
     }
 
     /// [`Hybrid::multiply`] against a caller-prepared (possibly cached
@@ -298,7 +297,7 @@ impl Hybrid {
     /// the run never mutates the grid.
     pub fn multiply_prepared(&self, a: &CsrMatrix, pg: &PreparedGrid) -> Result<HybridRun> {
         self.config.validate()?;
-        self.run_prepared(a, pg, false, RecoveryReport::default())
+        self.run_prepared(a, pg)
     }
 
     /// [`Hybrid::multiply`] forced through the paper's one-shot static
@@ -308,129 +307,6 @@ impl Hybrid {
     pub fn multiply_static(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
         let config = self.config.clone().scheduler(SchedulerKind::Static);
         Hybrid::new(config).multiply(a, b)
-    }
-
-    /// [`Hybrid::multiply`] with *real* two-thread concurrency —
-    /// Algorithm 4's "Parallel GPU thread ... Parallel CPU thread":
-    /// both workers race a shared atomic cursor over the row-major
-    /// chunk grid and prepare chunks concurrently (the host-side heavy
-    /// lifting), then the scheduling and both simulated clocks run on
-    /// the deterministic path shared with [`Hybrid::multiply`].
-    ///
-    /// Produces the same [`HybridRun`] as [`Hybrid::multiply`] in
-    /// every field — claim decisions never depend on which OS thread
-    /// prepared a chunk, and simulated clocks are deterministic — so
-    /// threaded and sequential runs are bit-identical even under an
-    /// active fault plan. The difference is host wall-clock only.
-    pub fn multiply_threaded(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<HybridRun> {
-        use gpu_spgemm::ChunkProduct;
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        self.config.validate()?;
-        let cfg = &self.config.gpu;
-        // The same planning prologue as `prepare_grid`, so the threaded
-        // and sequential paths stay field-identical under any estimator.
-        let pg = plan_grid(a, b, cfg)?;
-        let n = pg.plan.num_chunks();
-
-        // One scratch pool shared by both workers (it is Sync; leases
-        // serialize only on the pop/push). Chunk results are pure
-        // functions of the index, so pooled reuse cannot affect them.
-        let scratch = accum::ScratchPool::new();
-        let prepare = |idx: usize| pg.prepare_chunk(a, idx, &scratch);
-
-        // Both workers drain one shared cursor; chunk content is a pure
-        // function of the index, so the interleaving cannot affect the
-        // result. The GPU worker honors the injected-panic test hook.
-        let cursor = AtomicUsize::new(0);
-        let worker = |inject: bool| -> Vec<(usize, ChunkProduct)> {
-            let mut out = Vec::new();
-            loop {
-                if inject {
-                    if let Some(plan) = &cfg.fault_plan {
-                        if plan.worker_panic_after == Some(out.len() as u64) {
-                            panic!(
-                                "injected gpu worker fault after {} prepared chunks",
-                                out.len()
-                            );
-                        }
-                    }
-                }
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                out.push((idx, prepare(idx)));
-            }
-            out
-        };
-
-        // Each worker body runs under `catch_unwind` and is joined
-        // explicitly, so a panic surfaces here as an `Err` payload
-        // instead of unwinding through the scope; the payload becomes a
-        // structured `OocError::Worker` or, when draining is enabled,
-        // the main thread redoes the lost work. The two workers are the
-        // run's compute threads: each runs under a one-thread pool, so
-        // their kernels' parallel calls stay on the worker instead of
-        // taking the shared pool's helpers.
-        let one_thread = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("a one-thread pool always builds");
-        let run_worker =
-            |inject: bool| one_thread.install(|| catch_unwind(AssertUnwindSafe(|| worker(inject))));
-        let (gpu_join, cpu_join) = crossbeam::thread::scope(|s| {
-            let gpu_worker = s.spawn(|_| run_worker(true));
-            let cpu_worker = s.spawn(|_| run_worker(false));
-            (gpu_worker.join(), cpu_worker.join())
-        })
-        .map_err(|payload| OocError::Worker {
-            worker: "hybrid scope".to_string(),
-            message: panic_message(payload.as_ref()),
-        })?;
-        // Collapse "panicked before catch" (real threads) and "panic
-        // caught in the worker body" into one payload per worker.
-        let gpu_join = gpu_join.and_then(|caught| caught);
-        let cpu_join = cpu_join.and_then(|caught| caught);
-
-        let mut recovery = RecoveryReport::default();
-        let policy = cfg.recovery;
-        let mut gpu_dead = false;
-        let mut slots: Vec<Option<ChunkProduct>> = (0..n).map(|_| None).collect();
-        for (join, name) in [(gpu_join, "gpu"), (cpu_join, "cpu")] {
-            match join {
-                Ok(prepared) => {
-                    for (idx, p) in prepared {
-                        slots[idx] = Some(p);
-                    }
-                }
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    if !policy.drain_worker_panics {
-                        return Err(OocError::Worker {
-                            worker: name.to_string(),
-                            message,
-                        });
-                    }
-                    recovery.worker_panics += 1;
-                    if name == "gpu" {
-                        // The GPU worker is gone; its pipeline never
-                        // runs and run_prepared demotes its share.
-                        gpu_dead = true;
-                    }
-                }
-            }
-        }
-        // The surviving (main) thread re-prepares whatever the dead
-        // worker dropped, so the run still completes.
-        let prepared = slots
-            .into_iter()
-            .enumerate()
-            .map(|(idx, slot)| slot.unwrap_or_else(|| prepare(idx)))
-            .collect();
-        let pg = PreparedGrid { prepared, ..pg };
-        self.run_prepared(a, &pg, gpu_dead, recovery)
     }
 
     /// Exhaustively evaluates every GPU chunk count (Table III:
@@ -652,30 +528,16 @@ mod tests {
     }
 
     #[test]
-    fn threaded_hybrid_matches_sequential_hybrid() {
-        let a = fixture();
-        let seq = Hybrid::new(config()).multiply(&a, &a).unwrap();
-        let thr = Hybrid::new(config()).multiply_threaded(&a, &a).unwrap();
-        assert_eq!(thr.sim_ns, seq.sim_ns, "simulated clocks must agree");
-        assert_eq!(thr.gpu_ns, seq.gpu_ns);
-        assert_eq!(thr.cpu_ns, seq.cpu_ns);
-        assert_eq!(thr.num_gpu_chunks, seq.num_gpu_chunks);
-        assert_eq!(thr.scheduler, seq.scheduler, "claim accounting must agree");
-        assert!(
-            thr.c.approx_eq(&seq.c, 0.0),
-            "results must be bit-identical"
-        );
-    }
-
-    #[test]
     fn threaded_hybrid_extreme_ratios() {
+        // Both devices' claim loops share one scheduler; at either extreme
+        // one side claims nothing and the other must still cover the grid.
         let a = fixture();
+        let expect = reference::multiply(&a, &a).unwrap();
         for ratio in [0.0, 1.0] {
-            let run = Hybrid::new(config().ratio(ratio))
-                .multiply_threaded(&a, &a)
-                .unwrap();
-            let expect = reference::multiply(&a, &a).unwrap();
-            assert!(run.c.approx_eq(&expect, 1e-9));
+            let run = Hybrid::new(config().ratio(ratio)).multiply(&a, &a).unwrap();
+            assert!(run.c.approx_eq(&expect, 1e-9), "ratio {ratio}");
+            assert_eq!(run.num_gpu_chunks + run.num_cpu_chunks, 12, "ratio {ratio}");
+            assert_eq!(run.sim_ns, run.gpu_ns.max(run.cpu_ns), "ratio {ratio}");
         }
     }
 
@@ -696,6 +558,8 @@ mod tests {
         let run = Hybrid::new(config().ratio(1.0)).multiply(&a, &a).unwrap();
         assert_eq!(run.num_cpu_chunks, 0);
         assert_eq!(run.cpu_ns, 0);
+        let expect = reference::multiply(&a, &a).unwrap();
+        assert!(run.c.approx_eq(&expect, 1e-9));
     }
 
     #[test]

@@ -485,9 +485,8 @@ impl<'a> Planner<'a> {
     ///
     /// Incremental search: per step only the split dimension's panels
     /// are recomputed — the row candidate reuses the current column
-    /// binning through the 2D chunk-nnz prefix table, and the two
-    /// candidates are evaluated in parallel. Returns the same plan as
-    /// [`Planner::auto_reference`].
+    /// binning through the 2D chunk-nnz prefix table. Returns the same
+    /// plan as [`Planner::auto_reference`].
     pub fn auto(&self, device_bytes: u64) -> Result<PanelPlan> {
         let budget = (device_bytes as f64 * BUDGET_FRACTION) as u64;
         let n_rows = self.a.n_rows();
@@ -516,26 +515,19 @@ impl<'a> Planner<'a> {
             // Split whichever dimension relieves more of the working
             // set: rows shrink the A panel and the output chunk;
             // columns shrink the B panel and the output chunk.
-            let row_candidate = || {
-                let rr = self.row_ranges_for((k_r + 1).min(n_rows.max(1)));
-                let g = match &col_prefix {
-                    Some(p) => Self::grid_from_prefix(p, col_ranges.len(), &rr),
-                    None => self.chunk_grid(&rr, &col_ranges),
-                };
-                let ws = self.working_set_from_grid(&rr, &col_ranges, &g);
-                (rr, g, ws)
+            let rr = self.row_ranges_for((k_r + 1).min(n_rows.max(1)));
+            let g_r = match &col_prefix {
+                Some(p) => Self::grid_from_prefix(p, col_ranges.len(), &rr),
+                None => self.chunk_grid(&rr, &col_ranges),
             };
-            let col_candidate = || {
-                let cc = self.col_ranges_for((k_c + 1).min(n_cols.max(1)));
-                let p = self.bin_prefix(&cc);
-                let g = match &p {
-                    Some(p) => Self::grid_from_prefix(p, cc.len(), &row_ranges),
-                    None => self.chunk_grid(&row_ranges, &cc),
-                };
-                let ws = self.working_set_from_grid(&row_ranges, &cc, &g);
-                (cc, p, g, ws)
+            let ws_r = self.working_set_from_grid(&rr, &col_ranges, &g_r);
+            let cc = self.col_ranges_for((k_c + 1).min(n_cols.max(1)));
+            let p_c = self.bin_prefix(&cc);
+            let g_c = match &p_c {
+                Some(p) => Self::grid_from_prefix(p, cc.len(), &row_ranges),
+                None => self.chunk_grid(&row_ranges, &cc),
             };
-            let ((rr, g_r, ws_r), (cc, p_c, g_c, ws_c)) = rayon::join(row_candidate, col_candidate);
+            let ws_c = self.working_set_from_grid(&row_ranges, &cc, &g_c);
             if ws_r <= ws_c && k_r < n_rows.max(1) {
                 row_ranges = rr;
                 grid = g_r;

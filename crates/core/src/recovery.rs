@@ -6,10 +6,10 @@
 //! device memory is re-split along the planner's row-flop prefix sums;
 //! a chunk that keeps faulting is demoted to the CPU executor (whose
 //! per-chunk results are bit-identical by construction — the hybrid
-//! executor relies on the same fact); a panicked hybrid worker is
-//! drained by the surviving side. Because recovery only ever re-runs
-//! or re-splits *row-independent* work on identical inputs, the
-//! assembled `C` under any fault plan is bit-identical to the
+//! executor relies on the same fact); a lost hybrid GPU worker has its
+//! whole share drained to the CPU clock. Because recovery only ever
+//! re-runs or re-splits *row-independent* work on identical inputs,
+//! the assembled `C` under any fault plan is bit-identical to the
 //! fault-free run.
 
 use gpu_sim::{CostModel, SimTime};
@@ -25,8 +25,9 @@ pub struct RecoveryPolicy {
     /// Demote irrecoverable chunks to the CPU executor instead of
     /// failing the run.
     pub demote_to_cpu: bool,
-    /// Drain a panicked hybrid worker's chunks on the surviving side
-    /// instead of surfacing [`crate::OocError::Worker`].
+    /// When the fault plan's worker-panic trigger loses the hybrid's
+    /// GPU worker, demote its whole share to the CPU clock instead of
+    /// surfacing [`crate::OocError::Worker`].
     pub drain_worker_panics: bool,
 }
 
@@ -60,7 +61,7 @@ impl RecoveryPolicy {
         self
     }
 
-    /// Enables/disables draining panicked workers.
+    /// Enables/disables draining a lost GPU worker's share.
     pub fn drain_worker_panics(mut self, on: bool) -> Self {
         self.drain_worker_panics = on;
         self
@@ -95,7 +96,8 @@ pub struct RecoveryReport {
     pub estimate_overflows: u64,
     /// Chunks demoted to the CPU executor.
     pub demotions: u64,
-    /// Worker threads that panicked and were drained.
+    /// Hybrid GPU workers lost to the worker-panic trigger and
+    /// drained.
     pub worker_panics: u64,
     /// Transient spill-shard read faults retried.
     pub spill_read_faults: u64,

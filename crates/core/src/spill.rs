@@ -34,6 +34,7 @@ use crate::recovery::RecoveryReport;
 use crate::{OocError, Result};
 use gpu_sim::SimTime;
 use sparse::io::binary::{read_binary, to_bytes};
+use sparse::partition::ColPartitioner;
 use sparse::CsrMatrix;
 use std::path::{Path, PathBuf};
 
@@ -384,7 +385,7 @@ impl SpilledMatrix {
         }
         let needed = spilled.missing_or_corrupt();
         if !needed.is_empty() {
-            let col_panels = config.col_partitioner.partition(b, &plan.col_ranges);
+            let col_panels = ColPartitioner::ParallelPrefixSum.partition(b, &plan.col_ranges);
             let k_c = plan.col_panels();
             for &r in &needed {
                 let range = &plan.row_ranges[r];

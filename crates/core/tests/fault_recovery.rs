@@ -10,8 +10,8 @@
 use cpu_spgemm::reference;
 use gpu_sim::OpKind;
 use oocgemm::{
-    multiply_multi_gpu, FaultPlan, Hybrid, HybridConfig, MultiGpuConfig, OocConfig, OocError,
-    OutOfCoreGpu, RecoveryPolicy,
+    multiply_multi_gpu, FaultPlan, Hybrid, HybridConfig, HybridRun, MultiGpuConfig, OocConfig,
+    OocError, OutOfCoreGpu, RecoveryPolicy,
 };
 use proptest::prelude::*;
 use sparse::gen::erdos_renyi;
@@ -91,16 +91,16 @@ fn hybrid_survives_gpu_worker_panic() {
         gpu: base_config(),
         ..HybridConfig::paper_default()
     };
-    let clean = Hybrid::new(cfg.clone()).multiply_threaded(&a, &a).unwrap();
+    let clean = Hybrid::new(cfg.clone()).multiply(&a, &a).unwrap();
     assert!(clean.num_gpu_chunks > 0);
 
-    // The GPU worker dies before preparing its first chunk; the CPU
+    // The GPU worker dies before running its first chunk; the CPU
     // side drains the whole GPU assignment.
     let cfg_panic = HybridConfig {
         gpu: base_config().fault_plan(FaultPlan::seeded(0).worker_panic_after(0)),
         ..HybridConfig::paper_default()
     };
-    let run = Hybrid::new(cfg_panic).multiply_threaded(&a, &a).unwrap();
+    let run = Hybrid::new(cfg_panic).multiply(&a, &a).unwrap();
     assert_eq!(run.c, clean.c, "drained run must be bit-identical");
     assert_eq!(run.recovery.worker_panics, 1);
     assert_eq!(run.recovery.demotions as usize, clean.num_gpu_chunks);
@@ -117,7 +117,7 @@ fn hybrid_worker_panic_is_an_error_when_drain_disabled() {
             .recovery(RecoveryPolicy::default().drain_worker_panics(false)),
         ..HybridConfig::paper_default()
     };
-    match Hybrid::new(cfg).multiply_threaded(&a, &a) {
+    match Hybrid::new(cfg).multiply(&a, &a) {
         Err(OocError::Worker { worker, message }) => {
             assert_eq!(worker, "gpu");
             assert!(
@@ -127,6 +127,69 @@ fn hybrid_worker_panic_is_an_error_when_drain_disabled() {
         }
         other => panic!("expected OocError::Worker, got {other:?}"),
     }
+}
+
+/// Asserts two hybrid runs agree in every field; the timeline, which
+/// has no `PartialEq`, is compared by its debug form.
+fn assert_same_run(x: &HybridRun, y: &HybridRun) {
+    let HybridRun {
+        c,
+        sim_ns,
+        gpu_ns,
+        cpu_ns,
+        num_gpu_chunks,
+        num_cpu_chunks,
+        flops,
+        nnz_c,
+        timeline,
+        plan,
+        recovery,
+        metrics,
+        scheduler,
+    } = x;
+    assert_eq!(c, &y.c);
+    assert_eq!(sim_ns, &y.sim_ns);
+    assert_eq!(gpu_ns, &y.gpu_ns);
+    assert_eq!(cpu_ns, &y.cpu_ns);
+    assert_eq!(num_gpu_chunks, &y.num_gpu_chunks);
+    assert_eq!(num_cpu_chunks, &y.num_cpu_chunks);
+    assert_eq!(flops, &y.flops);
+    assert_eq!(nnz_c, &y.nnz_c);
+    assert_eq!(format!("{timeline:?}"), format!("{:?}", y.timeline));
+    assert_eq!(plan, &y.plan);
+    assert_eq!(recovery, &y.recovery);
+    assert_eq!(metrics, &y.metrics);
+    assert_eq!(scheduler, &y.scheduler);
+}
+
+#[test]
+fn hybrid_worker_loss_fires_exactly_when_the_gpu_share_reaches_the_trigger() {
+    let a = erdos_renyi(400, 400, 0.03, 17);
+    let hybrid = |gpu: OocConfig| {
+        let cfg = HybridConfig {
+            gpu,
+            ..HybridConfig::paper_default()
+        };
+        Hybrid::new(cfg).multiply(&a, &a).unwrap()
+    };
+    let clean = hybrid(base_config());
+    let share = clean.num_gpu_chunks as u64;
+    assert!(share > 0);
+
+    // A share of exactly `share` chunks trips the trigger: the whole
+    // share is demoted and the GPU never runs.
+    let lost = hybrid(base_config().fault_plan(FaultPlan::seeded(0).worker_panic_after(share)));
+    assert_eq!(lost.recovery.worker_panics, 1);
+    assert_eq!(lost.recovery.demotions, share);
+    assert_eq!(lost.gpu_ns, 0);
+    assert_eq!(lost.c, clean.c);
+
+    // One chunk more than the share never fires: the run is the
+    // zero-rate plan's without a trigger.
+    let kept = hybrid(base_config().fault_plan(FaultPlan::seeded(0).worker_panic_after(share + 1)));
+    let zero_rate = hybrid(base_config().fault_plan(FaultPlan::seeded(0)));
+    assert_eq!(kept.recovery.worker_panics, 0);
+    assert_same_run(&kept, &zero_rate);
 }
 
 #[test]
@@ -142,19 +205,9 @@ fn hybrid_with_faults_matches_fault_free() {
         gpu: base_config().fault_plan(FaultPlan::seeded(31).all_rates(0.25)),
         ..HybridConfig::paper_default()
     };
-    let seq = Hybrid::new(cfg_faulty.clone()).multiply(&a, &a).unwrap();
-    assert_eq!(seq.c, clean.c);
-    assert!(seq.recovery.faults() > 0);
-
-    let threaded = Hybrid::new(cfg_faulty).multiply_threaded(&a, &a).unwrap();
-    assert_eq!(threaded.c, clean.c);
-    assert!(threaded.recovery.faults() > 0);
-    assert_eq!(
-        threaded.scheduler, seq.scheduler,
-        "claim decisions must not see faults or threads"
-    );
-    assert_eq!(threaded.sim_ns, seq.sim_ns);
-    assert_eq!(threaded.recovery, seq.recovery);
+    let run = Hybrid::new(cfg_faulty).multiply(&a, &a).unwrap();
+    assert_eq!(run.c, clean.c);
+    assert!(run.recovery.faults() > 0);
 }
 
 #[test]

@@ -8,6 +8,7 @@ use gpu_spgemm::phases::{prepare_chunk, ChunkJob};
 use oocgemm::{EstimateConfig, ExecMode, FaultPlan, OocConfig, OocRun, OutOfCoreGpu};
 use proptest::prelude::*;
 use sparse::gen::erdos_renyi;
+use sparse::partition::ColPartitioner;
 use sparse::{CsrMatrix, CsrView};
 
 fn fixture() -> CsrMatrix {
@@ -20,8 +21,8 @@ fn base_config() -> OocConfig {
 
 /// Re-derives every per-chunk transfer size the executors see, by
 /// preparing the same chunks from the run's own plan.
-fn prepared_sizes(a: &CsrMatrix, b: &CsrMatrix, config: &OocConfig, run: &OocRun) -> Vec<Sizes> {
-    let col_panels = config.col_partitioner.partition(b, &run.plan.col_ranges);
+fn prepared_sizes(a: &CsrMatrix, b: &CsrMatrix, run: &OocRun) -> Vec<Sizes> {
+    let col_panels = ColPartitioner::ParallelPrefixSum.partition(b, &run.plan.col_ranges);
     let k_c = run.plan.col_panels();
     let mut out = Vec::new();
     for (r, range) in run.plan.row_ranges.iter().enumerate() {
@@ -79,7 +80,7 @@ fn transfer_bytes_conserve_against_prepared_chunks() {
         let run = OutOfCoreGpu::new(config.clone().mode(mode))
             .multiply(&a, &a)
             .unwrap();
-        let sizes = prepared_sizes(&a, &a, &config, &run);
+        let sizes = prepared_sizes(&a, &a, &run);
         // The speculative default (async + non-exact estimator) skips
         // the per-row nnz readback, so its conserved D2H total is
         // smaller by exactly the row-nnz arrays.

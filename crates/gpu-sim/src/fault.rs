@@ -97,8 +97,8 @@ pub struct FaultPlan {
     pub max_consecutive: u32,
     /// Optional one-shot capacity shrink.
     pub capacity_shrink: Option<CapacityShrink>,
-    /// Optional worker-panic trigger: executors that support it panic
-    /// the worker thread after preparing this many chunks (0-based).
+    /// Optional worker-panic trigger: the hybrid executor loses its GPU
+    /// worker when the scheduler gives it at least this many chunks.
     pub worker_panic_after: Option<u64>,
 }
 
@@ -161,8 +161,8 @@ impl FaultPlan {
         self
     }
 
-    /// Panics the worker thread after it prepares `n` chunks (for
-    /// executors that run workers; see `oocgemm::Hybrid`).
+    /// Loses the hybrid's GPU worker when its share holds at least `n`
+    /// chunks, so `n = 0` always fires (see `oocgemm::Hybrid`).
     pub fn worker_panic_after(mut self, n: u64) -> Self {
         self.worker_panic_after = Some(n);
         self

@@ -1,5 +1,5 @@
 //! Tour of the features beyond the paper's headline experiments:
-//! cost-model-derived GPU ratio, real-two-thread hybrid execution,
+//! cost-model-derived GPU ratio, work-stealing hybrid execution,
 //! multi-GPU scheduling, the unified-memory comparison, independent
 //! result verification, and Chrome-trace timeline export.
 //!
@@ -42,8 +42,8 @@ fn main() {
         auto * 100.0
     );
 
-    // 2. Hybrid with real two-thread concurrency (Algorithm 4's
-    //    "Parallel GPU thread ... Parallel CPU thread").
+    // 2. Hybrid at that ratio (Algorithm 4's GPU and CPU workers,
+    //    scheduled by the work-stealing auction).
     let hybrid_cfg = HybridConfig {
         gpu: base.clone(),
         ..HybridConfig::paper_default()
@@ -51,10 +51,10 @@ fn main() {
     .ratio(auto);
     let wall = std::time::Instant::now();
     let hybrid = Hybrid::new(hybrid_cfg)
-        .multiply_threaded(&a, &a)
+        .multiply(&a, &a)
         .expect("hybrid run");
     println!(
-        "threaded hybrid : {:>8.3} ms simulated ({} GPU / {} CPU chunks), {:.2} s wall",
+        "hybrid          : {:>8.3} ms simulated ({} GPU / {} CPU chunks), {:.2} s wall",
         hybrid.sim_ms(),
         hybrid.num_gpu_chunks,
         hybrid.num_cpu_chunks,
