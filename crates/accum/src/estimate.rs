@@ -1,22 +1,22 @@
-//! Output-size estimation: worst-case upper bounds plus seeded,
-//! sample-based `nnz(C)` estimators.
+//! Output-size estimation: the worst-case upper bound plus a seeded,
+//! sample-based `nnz(C)` estimator.
 //!
 //! "In the worst case, every single multiplication of elements of
 //! matrices A and B could lead to a distinct element in C" (paper
 //! Section IV-B). The upper bound for row `i` of `C = A·B` is therefore
-//! `min(flops_i / 2, width(B))`. The paper measures that this bound is
-//! far from tight — which is exactly why it rejects worst-case
-//! pre-allocation in favour of pooled memory; the bench crate
-//! reproduces that gap.
+//! `min(flops_i / 2, width(B))`: [`EstModel::upper_bound`] predicts it
+//! for every row. The paper measures that this bound is far from tight
+//! — which is exactly why it rejects worst-case pre-allocation in
+//! favour of pooled memory; the bench crate reproduces that gap.
 //!
-//! On top of the bound this module implements the Ocean-style
-//! sample-based estimators that make symbolic-phase elision possible:
-//! rows are binned by flop magnitude (the same bounds the GPU phase
-//! engine groups kernels by), a deterministic stratified sample of each
-//! bin is measured — exactly ([`EstimatorKind::RowSample`]) or with a
-//! linear-counting bitmap sketch ([`EstimatorKind::HashSketch`]) — and
-//! the measured compression ratios distill into a tiny [`EstModel`]
-//! that predicts any row's output size from its flop count in O(1).
+//! On top of the bound this module implements the OCEAN-style
+//! sample-based estimator that makes symbolic-phase elision possible:
+//! rows are binned by flop magnitude ([`GROUP_BOUNDS`], the bounds the
+//! GPU phase engine groups kernels by), a deterministic stratified
+//! sample of each bin is measured exactly with the symbolic row count
+//! ([`EstimatorKind::RowSample`]), and the measured compression ratios
+//! distill into a tiny [`EstModel`] that predicts any row's output size
+//! from its flop count in O(1).
 //! Every step is seeded and order-independent (integer sums, fixed
 //! reduction order), so a model built twice from the same inputs is
 //! identical and downstream plans are reproducible.
@@ -25,13 +25,17 @@ use crate::scratch::{RowScratch, ScratchPool};
 use rayon::prelude::*;
 use sparse::{CsrMatrix, CsrView};
 
-/// Rows per parallel work item in the flat-blocked passes (same value
-/// as the phase engine's `ROW_BLOCK`).
+/// Rows per parallel work item in the flat-blocked host passes: this
+/// module's, the phase engine's row analysis and the CPU kernel's row
+/// chunks. Row ranges at or below one block run serially — forking
+/// tasks for a few hundred rows costs more than it saves.
 pub const ROW_BLOCK: usize = 256;
 
-/// Flop-magnitude group bounds — identical to the phase engine's kernel
-/// grouping (`gpu_spgemm::phases::GROUP_BOUNDS`) so a model group maps
-/// onto a kernel group.
+/// Flop-magnitude group bounds, matching the magnitude binning spECK
+/// performs host-side: a row with flop count `f` goes to the first
+/// group with `f <= bound` ([`EstModel::group_of`]). The phase engine
+/// groups its kernels by the same bins, so a model group maps onto a
+/// kernel group.
 pub const GROUP_BOUNDS: [u64; 4] = [64, 1024, 16384, u64::MAX];
 
 /// Number of flop-magnitude groups.
@@ -63,9 +67,6 @@ pub enum EstimatorKind {
     /// sampled rows (the default).
     #[default]
     RowSample,
-    /// Stratified row sample with a linear-counting bitmap sketch on
-    /// the sampled rows — cheaper per sampled row, slightly noisier.
-    HashSketch,
 }
 
 impl EstimatorKind {
@@ -75,7 +76,6 @@ impl EstimatorKind {
             EstimatorKind::Exact => "exact",
             EstimatorKind::UpperBound => "upper-bound",
             EstimatorKind::RowSample => "row-sample",
-            EstimatorKind::HashSketch => "hash-sketch",
         }
     }
 }
@@ -88,9 +88,8 @@ impl std::str::FromStr for EstimatorKind {
             "exact" => Ok(EstimatorKind::Exact),
             "upper-bound" => Ok(EstimatorKind::UpperBound),
             "row-sample" => Ok(EstimatorKind::RowSample),
-            "hash-sketch" => Ok(EstimatorKind::HashSketch),
             other => Err(format!(
-                "unknown estimator '{other}' (exact|upper-bound|row-sample|hash-sketch)"
+                "unknown estimator '{other}' (exact|upper-bound|row-sample)"
             )),
         }
     }
@@ -141,17 +140,13 @@ pub struct EstModel {
     pub kind: EstimatorKind,
     /// Predicted `nnz / flops` per flop-magnitude group.
     pub ratios: [f64; NUM_GROUPS],
-    /// Per-group confidence in `(0, 1]`: `1 / (1 + relative std
-    /// error)` of the sampled ratio; `1.0` for exhaustively measured
-    /// (or bound-only) groups.
-    pub confidence: [f64; NUM_GROUPS],
     /// Safety margin multiplied into every row estimate.
     pub headroom: f64,
     /// Rows actually measured while building the model.
     pub sampled_rows: usize,
     /// Total flops of the measured rows.
     pub sampled_flops: u64,
-    /// Total output nonzeros measured (exact or sketched).
+    /// Total output nonzeros measured.
     pub sampled_nnz: u64,
 }
 
@@ -166,7 +161,6 @@ impl EstModel {
         EstModel {
             kind: EstimatorKind::UpperBound,
             ratios: [BOUND_RATIO; NUM_GROUPS],
-            confidence: [1.0; NUM_GROUPS],
             headroom: 1.0,
             sampled_rows: 0,
             sampled_flops: 0,
@@ -237,23 +231,13 @@ impl EstModel {
             .map(|&n| n as u64)
             .sum()
     }
-
-    /// Measured compression ratio `flops / nnz` of the sample (0 when
-    /// nothing was measured).
-    pub fn sampled_compression(&self) -> f64 {
-        if self.sampled_nnz == 0 {
-            0.0
-        } else {
-            self.sampled_flops as f64 / self.sampled_nnz as f64
-        }
-    }
 }
 
 /// Builds the estimation model for `C = a * b` per `cfg`.
 ///
 /// [`EstimatorKind::Exact`] and [`EstimatorKind::UpperBound`] return
-/// the worst-case model (no sampling pass); the sampling kinds run a
-/// deterministic stratified sample over flop-magnitude groups.
+/// the worst-case model (no sampling pass); [`EstimatorKind::RowSample`]
+/// runs a deterministic stratified sample over flop-magnitude groups.
 /// Computes every row's flops and delegates to
 /// [`build_model_from_flops`] with a private scratch pool.
 pub fn build_model(a: &CsrView<'_>, b: &CsrMatrix, cfg: &EstimateConfig) -> EstModel {
@@ -294,15 +278,13 @@ pub fn build_model_from_flops(
             headroom: 1.0,
             ..EstModel::upper_bound()
         },
-        EstimatorKind::RowSample | EstimatorKind::HashSketch => {
-            sample_model(a, b, row_flops, cfg, pool)
-        }
+        EstimatorKind::RowSample => sample_model(a, b, row_flops, cfg, pool),
     }
 }
 
 /// SplitMix64 — the standard 64-bit finalizer; tiny, seedable, and good
-/// enough for sample-slot jitter and sketch hashing. Inlined here so
-/// the library needs no PRNG dependency.
+/// enough for sample-slot jitter. Inlined here so the library needs no
+/// PRNG dependency.
 #[inline]
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -331,13 +313,6 @@ fn stratified_indices(len: usize, rate: f64, seed: u64, salt: u64) -> Vec<usize>
         .collect()
 }
 
-/// One sampled row's measurement.
-struct SampleMeasure {
-    flops: u64,
-    nnz: u64,
-    ratio: f64,
-}
-
 fn sample_model(
     a: &CsrView<'_>,
     b: &CsrMatrix,
@@ -355,44 +330,21 @@ fn sample_model(
     }
 
     let mut ratios = [BOUND_RATIO; NUM_GROUPS];
-    let mut confidence = [1.0f64; NUM_GROUPS];
     let mut sampled_rows = 0usize;
     let mut sampled_flops = 0u64;
     let mut sampled_nnz = 0u64;
 
     for (g, rows) in groups.iter().enumerate() {
         let picks = stratified_indices(rows.len(), cfg.sample_rate, cfg.seed, g as u64);
-        if picks.is_empty() {
-            continue;
-        }
-        let exhaustive = picks.len() == rows.len();
-        // Measure sampled rows in parallel; collect() preserves index
-        // order and the reductions below are integer sums plus a
-        // fixed-order f64 pass, so the result is deterministic.
-        let measures: Vec<SampleMeasure> = picks
+        // Measure sampled rows in parallel; the sums below are integer
+        // sums, so the result is deterministic.
+        let nnz: Vec<u64> = picks
             .par_iter()
-            .map(|&i| {
-                let r = rows[i] as usize;
-                let nnz = match cfg.kind {
-                    EstimatorKind::HashSketch => sketch_row_nnz(a, b, r, width, cfg.seed) as u64,
-                    _ => pool.with(|s| exact_row_nnz(s, a, b, r, width)) as u64,
-                };
-                let flops = row_flops[r];
-                SampleMeasure {
-                    flops,
-                    nnz,
-                    ratio: if flops == 0 {
-                        0.0
-                    } else {
-                        nnz as f64 / flops as f64
-                    },
-                }
-            })
+            .map(|&i| pool.with(|s| exact_row_nnz(s, a, b, rows[i] as usize, width)) as u64)
             .collect();
-
-        let group_flops: u64 = measures.iter().map(|m| m.flops).sum();
-        let group_nnz: u64 = measures.iter().map(|m| m.nnz).sum();
-        sampled_rows += measures.len();
+        let group_flops: u64 = picks.iter().map(|&i| row_flops[rows[i] as usize]).sum();
+        let group_nnz: u64 = nnz.iter().sum();
+        sampled_rows += picks.len();
         sampled_flops += group_flops;
         sampled_nnz += group_nnz;
         if group_flops == 0 {
@@ -400,33 +352,12 @@ fn sample_model(
         }
         // Flop-weighted ratio from integer sums: deterministic and
         // robust to a few tiny rows.
-        let mean = group_nnz as f64 / group_flops as f64;
-        ratios[g] = mean.min(BOUND_RATIO);
-        confidence[g] = if exhaustive {
-            1.0
-        } else {
-            let k = measures.len() as f64;
-            let var = measures
-                .iter()
-                .map(|m| {
-                    let d = m.ratio - mean;
-                    d * d
-                })
-                .sum::<f64>()
-                / k;
-            let rel_std_err = if mean > 0.0 {
-                (var / k).sqrt() / mean
-            } else {
-                0.0
-            };
-            1.0 / (1.0 + rel_std_err)
-        };
+        ratios[g] = (group_nnz as f64 / group_flops as f64).min(BOUND_RATIO);
     }
 
     EstModel {
         kind: cfg.kind,
         ratios,
-        confidence,
         headroom: cfg.headroom,
         sampled_rows,
         sampled_flops,
@@ -451,71 +382,6 @@ fn exact_row_nnz(
     )
 }
 
-/// Linear-counting sketch of one output row: hash every product column
-/// into an `m`-bit bitmap, estimate distinct count as `m · ln(m / z)`
-/// from the `z` untouched bits (Whang et al.). Deterministic for a
-/// fixed seed; clamped to the row's worst-case bound.
-fn sketch_row_nnz(a: &CsrView<'_>, b: &CsrMatrix, r: usize, width: usize, seed: u64) -> usize {
-    let products: usize = a.row_cols(r).iter().map(|&k| b.row_nnz(k as usize)).sum();
-    if products == 0 {
-        return 0;
-    }
-    let cap = products.min(width);
-    // 2 bits per possible distinct column keeps the load factor in the
-    // sketch's accurate range; clamp the bitmap to a sane span.
-    let m = (2 * cap).next_power_of_two().clamp(64, 1 << 16);
-    let mut bits = vec![0u64; m / 64];
-    let salt = splitmix64(seed ^ (r as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    for &k in a.row_cols(r) {
-        for &c in b.row_cols(k as usize) {
-            let h = splitmix64(c as u64 ^ salt) as usize & (m - 1);
-            bits[h / 64] |= 1u64 << (h % 64);
-        }
-    }
-    let ones: u32 = bits.iter().map(|w| w.count_ones()).sum();
-    let zeros = m - ones as usize;
-    if zeros == 0 {
-        return cap;
-    }
-    let est = (m as f64 * (m as f64 / zeros as f64).ln()).round() as usize;
-    est.clamp(1, cap)
-}
-
-/// Per-row upper bounds on `nnz(C_i*)` for `C = a * b`.
-///
-/// Parallel over flat [`ROW_BLOCK`] blocks (the phase engine's
-/// pattern); panels at or below one block stay on the serial path.
-pub fn row_upper_bounds(a: &CsrView<'_>, b: &CsrMatrix) -> Vec<usize> {
-    assert_eq!(a.n_cols(), b.n_rows(), "inner dimensions must agree");
-    let width = b.n_cols();
-    let bound_one = |r: usize| -> usize {
-        let products: usize = a.row_cols(r).iter().map(|&k| b.row_nnz(k as usize)).sum();
-        products.min(width)
-    };
-    let n = a.n_rows();
-    let mut out = vec![0usize; n];
-    if n <= ROW_BLOCK {
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = bound_one(r);
-        }
-    } else {
-        out.par_chunks_mut(ROW_BLOCK)
-            .enumerate()
-            .for_each(|(block, chunk)| {
-                let base = block * ROW_BLOCK;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = bound_one(base + i);
-                }
-            });
-    }
-    out
-}
-
-/// Total upper bound on `nnz(C)` for `C = a * b`.
-pub fn upper_bound_total(a: &CsrView<'_>, b: &CsrMatrix) -> usize {
-    row_upper_bounds(a, b).iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,10 +389,15 @@ mod tests {
     use sparse::partition::col::{even_col_ranges, ColPartitioner};
     use sparse::stats::{row_flops, symbolic_row_nnz};
 
+    /// The worst-case bound on every row of `a · b`.
+    fn upper_bounds(a: &CsrMatrix, b: &CsrMatrix) -> Vec<usize> {
+        EstModel::upper_bound().estimate_rows(&row_flops(a, b), b.n_cols())
+    }
+
     #[test]
     fn bound_dominates_actual_nnz() {
         let a = erdos_renyi(60, 60, 0.08, 3);
-        let bounds = row_upper_bounds(&CsrView::of(&a), &a);
+        let bounds = upper_bounds(&a, &a);
         let actual = symbolic_row_nnz(&a, &a);
         for (r, (&bound, &act)) in bounds.iter().zip(&actual).enumerate() {
             assert!(bound >= act, "row {r}: bound {bound} < actual {act}");
@@ -538,7 +409,7 @@ mod tests {
         // Stencil matrix: heavy neighborhood overlap, bound far above
         // actual — the paper's argument for pooled allocation.
         let a = grid2d_stencil(20, 20, 2, 5);
-        let total_bound = upper_bound_total(&CsrView::of(&a), &a);
+        let total_bound: usize = upper_bounds(&a, &a).iter().sum();
         let actual: usize = symbolic_row_nnz(&a, &a).iter().sum();
         assert!(
             total_bound as f64 > 2.0 * actual as f64,
@@ -549,7 +420,7 @@ mod tests {
     #[test]
     fn bound_clamps_at_matrix_width() {
         let a = erdos_renyi(20, 20, 0.9, 5);
-        for &b in &row_upper_bounds(&CsrView::of(&a), &a) {
+        for &b in &upper_bounds(&a, &a) {
             assert!(b <= 20);
         }
     }
@@ -557,40 +428,17 @@ mod tests {
     #[test]
     fn identity_bound_is_exact() {
         let i = CsrMatrix::identity(10);
-        let bounds = row_upper_bounds(&CsrView::of(&i), &i);
-        assert_eq!(bounds, vec![1; 10]);
-    }
-
-    #[test]
-    fn parallel_bounds_match_serial() {
-        // Above ROW_BLOCK rows, the blocked parallel path engages; its
-        // output must equal the straightforward serial computation.
-        let a = rmat(RmatConfig::skewed(10, 8_000), 11);
-        assert!(a.n_rows() > ROW_BLOCK);
-        let v = CsrView::of(&a);
-        let width = a.n_cols();
-        let serial: Vec<usize> = (0..a.n_rows())
-            .map(|r| {
-                let p: usize = v.row_cols(r).iter().map(|&k| a.row_nnz(k as usize)).sum();
-                p.min(width)
-            })
-            .collect();
-        assert_eq!(row_upper_bounds(&v, &a), serial);
+        assert_eq!(upper_bounds(&i, &i), vec![1; 10]);
     }
 
     #[test]
     fn model_is_deterministic() {
         let a = rmat(RmatConfig::skewed(9, 6_000), 7);
         let v = CsrView::of(&a);
-        for kind in [EstimatorKind::RowSample, EstimatorKind::HashSketch] {
-            let cfg = EstimateConfig {
-                kind,
-                ..EstimateConfig::default()
-            };
-            let m1 = build_model(&v, &a, &cfg);
-            let m2 = build_model(&v, &a, &cfg);
-            assert_eq!(m1, m2, "{kind:?} model must be reproducible");
-        }
+        let cfg = EstimateConfig::default();
+        let m1 = build_model(&v, &a, &cfg);
+        let m2 = build_model(&v, &a, &cfg);
+        assert_eq!(m1, m2, "the model must be reproducible");
     }
 
     #[test]
@@ -605,25 +453,20 @@ mod tests {
         let panels = ColPartitioner::Cursor.partition(&a, &cols);
         let b_panel = &panels[1].matrix;
         let pool = ScratchPool::new();
-        for kind in [EstimatorKind::RowSample, EstimatorKind::HashSketch] {
-            let cfg = EstimateConfig {
-                kind,
-                ..EstimateConfig::default()
-            };
-            for (v, b) in [(CsrView::of(&a), &a), (panel, b_panel)] {
-                let flops: Vec<u64> = (0..v.n_rows())
-                    .map(|r| {
-                        2 * v
-                            .row_cols(r)
-                            .iter()
-                            .map(|&k| b.row_nnz(k as usize) as u64)
-                            .sum::<u64>()
-                    })
-                    .collect();
-                let from_flops = build_model_from_flops(&v, b, &flops, &cfg, &pool);
-                assert_eq!(from_flops, build_model(&v, b, &cfg), "{kind:?}");
-                assert!(from_flops.sampled_rows > 0);
-            }
+        let cfg = EstimateConfig::default();
+        for (v, b) in [(CsrView::of(&a), &a), (panel, b_panel)] {
+            let flops: Vec<u64> = (0..v.n_rows())
+                .map(|r| {
+                    2 * v
+                        .row_cols(r)
+                        .iter()
+                        .map(|&k| b.row_nnz(k as usize) as u64)
+                        .sum::<u64>()
+                })
+                .collect();
+            let from_flops = build_model_from_flops(&v, b, &flops, &cfg, &pool);
+            assert_eq!(from_flops, build_model(&v, b, &cfg));
+            assert!(from_flops.sampled_rows > 0);
         }
     }
 
@@ -654,7 +497,7 @@ mod tests {
         let v = CsrView::of(&a);
         let model = build_model(&v, &a, &EstimateConfig::default());
         let flops = row_flops(&a, &a);
-        let bounds = row_upper_bounds(&v, &a);
+        let bounds = upper_bounds(&a, &a);
         for (r, (&f, &bound)) in flops.iter().zip(&bounds).enumerate() {
             let est = model.row_estimate(f, a.n_cols());
             assert!(est <= bound, "row {r}: est {est} above bound {bound}");
@@ -686,27 +529,21 @@ mod tests {
         let v = CsrView::of(&a);
         let flops = row_flops(&a, &a);
         let actual: u64 = symbolic_row_nnz(&a, &a).iter().map(|&n| n as u64).sum();
-        let bound = upper_bound_total(&v, &a) as u64;
-        for kind in [EstimatorKind::RowSample, EstimatorKind::HashSketch] {
-            let model = build_model(
-                &v,
-                &a,
-                &EstimateConfig {
-                    kind,
-                    headroom: 1.0,
-                    ..EstimateConfig::default()
-                },
-            );
-            let est = model.total_estimate(&flops, a.n_cols());
-            assert!(
-                est as f64 >= actual as f64 * 0.5 && est as f64 <= actual as f64 * 2.0,
-                "{kind:?}: est {est} vs actual {actual}"
-            );
-            assert!(est < bound, "{kind:?}: estimate no better than the bound");
-            for c in model.confidence {
-                assert!(c > 0.0 && c <= 1.0);
-            }
-        }
+        let bound: u64 = upper_bounds(&a, &a).iter().map(|&n| n as u64).sum();
+        let model = build_model(
+            &v,
+            &a,
+            &EstimateConfig {
+                headroom: 1.0,
+                ..EstimateConfig::default()
+            },
+        );
+        let est = model.total_estimate(&flops, a.n_cols());
+        assert!(
+            est as f64 >= actual as f64 * 0.5 && est as f64 <= actual as f64 * 2.0,
+            "est {est} vs actual {actual}"
+        );
+        assert!(est < bound, "estimate no better than the bound");
     }
 
     #[test]
@@ -753,10 +590,12 @@ mod tests {
             EstimatorKind::Exact,
             EstimatorKind::UpperBound,
             EstimatorKind::RowSample,
-            EstimatorKind::HashSketch,
         ] {
             assert_eq!(kind.name().parse::<EstimatorKind>().unwrap(), kind);
         }
         assert!("speck".parse::<EstimatorKind>().is_err());
+        // A stale name of the removed bitmap-sketch sampler must fail,
+        // not fall back to another estimator.
+        assert!("hash-sketch".parse::<EstimatorKind>().is_err());
     }
 }

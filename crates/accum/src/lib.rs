@@ -52,10 +52,7 @@ pub mod sort;
 
 pub use counter::{DenseCounter, HashCounter, SymbolicCounter};
 pub use dense::DenseAccumulator;
-pub use estimate::{
-    build_model, build_model_from_flops, row_upper_bounds, upper_bound_total, EstModel,
-    EstimateConfig, EstimatorKind,
-};
+pub use estimate::{build_model, build_model_from_flops, EstModel, EstimateConfig, EstimatorKind};
 pub use hash::HashAccumulator;
 pub use merge::MergeBuffer;
 pub use scratch::{RowScratch, ScratchPool, DENSE_WIDTH_LIMIT};

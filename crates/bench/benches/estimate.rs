@@ -17,11 +17,7 @@ fn suite() -> Vec<(&'static str, CsrMatrix, u64)> {
 }
 
 fn kinds() -> Vec<EstimatorKind> {
-    vec![
-        EstimatorKind::UpperBound,
-        EstimatorKind::RowSample,
-        EstimatorKind::HashSketch,
-    ]
+    vec![EstimatorKind::UpperBound, EstimatorKind::RowSample]
 }
 
 fn bench_build_model(c: &mut Criterion) {

@@ -6,7 +6,7 @@
 //! the cursor curve stays flat.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sparse::gen::{locality_graph, rmat, RmatConfig};
+use sparse::gen::locality_graph;
 use sparse::partition::col::{even_col_ranges, ColPartitioner};
 use std::hint::black_box;
 
@@ -35,17 +35,5 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_row_partition(c: &mut Criterion) {
-    let a = rmat(RmatConfig::skewed(14, 200_000), 9);
-    let mut group = c.benchmark_group("row_partition");
-    group.bench_function("by_nnz_8", |bench| {
-        bench.iter(|| black_box(sparse::partition::RowPartition::by_nnz(&a, 8)));
-    });
-    group.bench_function("even_8", |bench| {
-        bench.iter(|| black_box(sparse::partition::RowPartition::even(&a, 8)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_partitioners, bench_row_partition);
+criterion_group!(benches, bench_partitioners);
 criterion_main!(benches);

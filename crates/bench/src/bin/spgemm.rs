@@ -65,7 +65,7 @@ fn usage() -> ! {
          \x20      [--device-mb N] [--ratio R|auto] [--scheduler stealing|static] [--panels RxC]\n\
          \x20      [--fault-seed N] [--fault-rate R] [--fault-shrink ALLOC:FACTOR]\n\
          \x20      [--host-fault-seed N] [--host-fault-rate R] [--deadline-ns N]\n\
-         \x20      [--estimator exact|upper-bound|row-sample|hash-sketch]\n\
+         \x20      [--estimator exact|upper-bound|row-sample]\n\
          \x20      [--sample-rate R] [--headroom H]\n\
          \x20      [--cpu-kernel hash|dense]\n\
          \x20      [--out FILE.mtx|FILE.spb] [--trace FILE.json] [--metrics-out FILE.json]"

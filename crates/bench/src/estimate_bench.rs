@@ -24,11 +24,7 @@ use sparse::gen::SuiteScale;
 use std::time::Instant;
 
 /// The non-exact estimator kinds the benchmark sweeps.
-pub const KINDS: [EstimatorKind; 3] = [
-    EstimatorKind::UpperBound,
-    EstimatorKind::RowSample,
-    EstimatorKind::HashSketch,
-];
+pub const KINDS: [EstimatorKind; 2] = [EstimatorKind::UpperBound, EstimatorKind::RowSample];
 
 /// One (matrix, estimator kind) measurement.
 #[derive(serde::Serialize)]

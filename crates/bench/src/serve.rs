@@ -158,8 +158,7 @@ pub fn gen_trace(requests: usize, tenants: usize, seed: u64) -> ServeTrace {
         let estimator = match (r >> 34) % 4 {
             0 => "exact",
             1 => "upper-bound",
-            2 => "row-sample",
-            _ => "hash-sketch",
+            _ => "row-sample",
         };
         let headroom = 1.3;
         // A quarter of the requests run under injected host faults —

@@ -1,10 +1,8 @@
-//! The chunk grid: per-chunk flop analysis (`GetFlops`, Algorithm 4
-//! lines 6–13) and the flop-descending ordering that drives both the
-//! GPU transfer schedule (Section IV-C) and the hybrid assignment.
+//! The chunk grid: every chunk's flops (`GetFlops`, Algorithm 4 lines
+//! 6–13) and the flop-descending ordering that drives both the GPU
+//! transfer schedule (Section IV-C) and the hybrid assignment.
 
 use crate::plan::PanelPlan;
-use sparse::partition::ColPanel;
-use sparse::CsrMatrix;
 
 /// Identifies one output chunk `C[row][col]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -34,29 +32,17 @@ pub struct ChunkGrid {
 }
 
 impl ChunkGrid {
-    /// Computes `GetFlops` for all chunks.
-    ///
-    /// For chunk `(r, c)`: `2 · Σ_{i ∈ panel r} Σ_{k ∈ A_i*}
-    /// nnz(B_panel_c row k)` — computed in `O(col_panels · nnz(A))`
-    /// total. "The overhead of computing the flops of each chunk is
-    /// really small compared with SpGEMM computations" (Section III-C).
-    pub fn compute(a: &CsrMatrix, plan: &PanelPlan, col_panels: &[ColPanel]) -> Self {
-        assert_eq!(plan.col_panels(), col_panels.len(), "plan/panel mismatch");
-        let k_r = plan.row_panels();
-        let k_c = col_panels.len();
-        let mut flops = vec![0u64; k_r * k_c];
-        for (r, range) in plan.row_ranges.iter().enumerate() {
-            for i in range.clone() {
-                for &k in a.row_cols(i) {
-                    for (c, panel) in col_panels.iter().enumerate() {
-                        flops[r * k_c + c] += 2 * panel.matrix.row_nnz(k as usize) as u64;
-                    }
-                }
-            }
-        }
+    /// The grid of `plan`'s chunks from their flops in row-major order
+    /// (`flops[r * col_panels + c]`). Chunk preparation computes them:
+    /// a chunk's flops are the sum of the row analysis it runs against
+    /// its own B panel, `2 · Σ_{i ∈ panel r} Σ_{k ∈ A_i*} nnz(B_c row
+    /// k)`. "The overhead of computing the flops of each chunk is really
+    /// small compared with SpGEMM computations" (Section III-C).
+    pub(crate) fn new(plan: &PanelPlan, flops: Vec<u64>) -> Self {
+        assert_eq!(flops.len(), plan.num_chunks(), "one flop count per chunk");
         ChunkGrid {
-            row_panels: k_r,
-            col_panels: k_c,
+            row_panels: plan.row_panels(),
+            col_panels: plan.col_panels(),
             flops,
         }
     }
@@ -174,42 +160,43 @@ impl ChunkGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Planner;
+    use crate::executor::{prepare_grid, PreparedGrid};
+    use crate::OocConfig;
     use sparse::gen::erdos_renyi;
-    use sparse::partition::col::ColPartitioner;
     use sparse::stats;
+    use sparse::CsrMatrix;
 
-    fn grid_fixture(k_r: usize, k_c: usize) -> (CsrMatrix, PanelPlan, Vec<ColPanel>, ChunkGrid) {
+    fn grid_fixture(k_r: usize, k_c: usize) -> (CsrMatrix, PreparedGrid) {
         let a = erdos_renyi(120, 120, 0.06, 9);
-        let planner = Planner::new(&a, &a).unwrap();
-        let plan = planner.fixed(k_r, k_c).unwrap();
-        let panels = ColPartitioner::Cursor.partition(&a, &plan.col_ranges);
-        let grid = ChunkGrid::compute(&a, &plan, &panels);
-        (a, plan, panels, grid)
+        let pg = prepare_grid(&a, &a, &OocConfig::default().panels(k_r, k_c)).unwrap();
+        (a, pg)
     }
 
     #[test]
     fn chunk_flops_sum_to_total() {
-        let (a, _, _, grid) = grid_fixture(3, 4);
-        assert_eq!(grid.total_flops(), stats::total_flops(&a, &a));
-        assert_eq!(grid.len(), 12);
+        let (a, pg) = grid_fixture(3, 4);
+        assert_eq!(pg.grid.total_flops(), stats::total_flops(&a, &a));
+        assert_eq!(pg.grid.len(), 12);
     }
 
     #[test]
     fn chunk_flops_match_direct_computation() {
-        let (a, plan, panels, grid) = grid_fixture(2, 3);
-        for (r, range) in plan.row_ranges.iter().enumerate() {
+        let (a, pg) = grid_fixture(2, 3);
+        for (r, range) in pg.plan.row_ranges.iter().enumerate() {
             let panel_a = a.slice_rows(range.start, range.end);
-            for (c, col_panel) in panels.iter().enumerate() {
+            for (c, col_panel) in pg.col_panels.iter().enumerate() {
                 let direct = stats::total_flops(&panel_a, &col_panel.matrix);
-                assert_eq!(grid.flops_of(ChunkId { row: r, col: c }), direct);
+                let id = ChunkId { row: r, col: c };
+                assert_eq!(pg.chunk(id).desc.flops, direct);
+                assert_eq!(pg.grid.flops_of(id), direct);
             }
         }
     }
 
     #[test]
     fn sorted_desc_is_monotone_and_complete() {
-        let (_, _, _, grid) = grid_fixture(3, 3);
+        let (_, pg) = grid_fixture(3, 3);
+        let grid = pg.grid;
         let sorted = grid.sorted_desc();
         assert_eq!(sorted.len(), 9);
         for w in sorted.windows(2) {

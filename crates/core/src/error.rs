@@ -64,7 +64,7 @@ impl fmt::Display for OocError {
             OocError::Planning(msg) => write!(f, "planning failed: {msg}"),
             OocError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             OocError::Worker { worker, message } => {
-                write!(f, "{worker} worker panicked: {message}")
+                write!(f, "{worker} worker failed: {message}")
             }
             OocError::Spill(msg) => write!(f, "spill error: {msg}"),
             OocError::DeadlineExceeded {
@@ -122,6 +122,15 @@ mod tests {
         assert!(e.to_string().contains("panel counts"));
         let e = OocError::Config("bad ratio".into());
         assert!(e.to_string().contains("bad ratio"));
+        // Worker loss is simulated; no thread panics.
+        let e = OocError::Worker {
+            worker: "gpu".into(),
+            message: "injected gpu worker fault with 3 chunks assigned".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "gpu worker failed: injected gpu worker fault with 3 chunks assigned"
+        );
     }
 
     #[test]

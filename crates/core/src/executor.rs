@@ -26,7 +26,8 @@ use std::ops::Range;
 pub struct PreparedGrid {
     /// The panel plan the grid was prepared under.
     pub plan: PanelPlan,
-    /// Per-chunk flop/nnz descriptors for ordering decisions.
+    /// Every chunk's flops (`GetFlops`), read off its descriptor, for
+    /// ordering decisions.
     pub grid: ChunkGrid,
     /// Row-major; `prepared[r * col_panels + c]`.
     pub prepared: Vec<ChunkProduct>,
@@ -202,8 +203,9 @@ pub fn prepare_grid_pooled(
     config.validate()?;
     let (planner, plan) = plan_panels(a, b, config)?;
     let col_panels = ColPartitioner::ParallelPrefixSum.partition(b, &plan.col_ranges);
+    // `grid` and `prepared` are filled in below.
     let mut pg = PreparedGrid {
-        grid: ChunkGrid::compute(a, &plan, &col_panels),
+        grid: ChunkGrid::new(&plan, vec![0; plan.num_chunks()]),
         prepared: Vec::new(),
         row_flops_prefix: planner.row_flops_prefix().to_vec(),
         estimator: planner.est_model().map(|_| config.estimator),
@@ -214,6 +216,10 @@ pub fn prepare_grid_pooled(
         .into_par_iter()
         .map(|i| pg.prepare_chunk(a, i, pool))
         .collect();
+    // GetFlops: each chunk's flops are the row analysis its preparation
+    // already ran against its own B panel.
+    let flops = pg.prepared.iter().map(|p| p.desc.flops).collect();
+    pg.grid = ChunkGrid::new(&pg.plan, flops);
     Ok(pg)
 }
 

@@ -7,7 +7,8 @@
 //!   busy/idle, transfer bytes and bandwidth, per-kernel-phase compute
 //!   time, overlap efficiency;
 //! * device-memory accounting captured from the simulator before it is
-//!   consumed (allocation and bump-pool high-water marks);
+//!   consumed (the allocator's high-water mark and the high-water mark
+//!   of the pipeline's pre-allocated pool);
 //! * host-side counters from the recovering executors — per-chunk
 //!   attempt counts, re-splits, and demotion causes ([`ChunkMetrics`]).
 //!
@@ -135,7 +136,7 @@ impl ChunkMetrics {
 /// configured `--headroom`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorStats {
-    /// Estimator kind name (`row-sample`, `hash-sketch`, `upper-bound`).
+    /// Estimator kind name (`row-sample` or `upper-bound`).
     pub kind: String,
     /// Rows sampled by the per-chunk models that sized the speculative
     /// allocations, summed over the grid's chunks.

@@ -4,10 +4,14 @@
 //! The paper's goal is "continuing to scale SpGEMM computations to
 //! arbitrarily large matrices" (Section III-A). Its evaluation stops
 //! where `C` still fits host memory (60 GB into 128 GB); the next wall
-//! is host RAM, and this module removes it: each row panel of `C` is
-//! assembled as soon as its chunks complete and written as one binary
-//! shard, so peak host memory holds a single row panel instead of the
-//! whole product.
+//! is host RAM. This module writes `C` to disk instead of returning it:
+//! each row panel of `C` is assembled from its chunks' products and
+//! written as one binary shard. What that saves is the assembled copy
+//! of `C` that the in-memory executors build next to the chunk products
+//! (only one assembled row panel exists at a time). It does not bound
+//! peak host memory to a row panel: the run prepares the whole grid
+//! first, so every chunk's product is resident before the first shard
+//! is written.
 //!
 //! A [`SpilledMatrix`] is the on-disk handle: a manifest plus
 //! `panel_<i>.spb` shards, loadable panel by panel (or fully, for
@@ -456,8 +460,10 @@ fn exact(config: &OocConfig) -> OocConfig {
 }
 
 /// Computes `C = a · b` out-of-core and spills the result to `dir`,
-/// one shard per row panel. Peak host memory for the output is one
-/// row panel plus one chunk. The manifest is rewritten after every
+/// one shard per row panel. The grid is prepared in full first, so
+/// every chunk's product stays in host memory for the whole run; what
+/// spilling saves is the assembled copy of `C`, of which only one row
+/// panel exists at a time. The manifest is rewritten after every
 /// shard, so an interrupted run can be completed with
 /// [`SpilledMatrix::resume`].
 /// The device run is [`crate::OutOfCoreGpu::multiply`]'s under the exact

@@ -80,9 +80,8 @@ fn build_request(id: u64, arrival: u64, spec: &ReqSpec) -> Request {
     let kind = [
         EstimatorKind::Exact,
         EstimatorKind::RowSample,
-        EstimatorKind::HashSketch,
         EstimatorKind::UpperBound,
-    ][est_sel as usize % 4];
+    ][est_sel as usize % 3];
     let mut req = Request {
         id,
         tenant: format!("t{}", tenant % 3),

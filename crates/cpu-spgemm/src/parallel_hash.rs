@@ -5,7 +5,9 @@
 //!
 //! Structure:
 //!
-//! 1. **Symbolic phase** — parallel over fixed 256-row blocks;
+//! 1. **Symbolic phase** — parallel over fixed 256-row blocks
+//!    ([`accum::estimate::ROW_BLOCK`]): small enough to balance skewed
+//!    matrices, large enough to amortize accumulator setup;
 //!    each worker keeps a reusable counter (dense stamps for narrow
 //!    outputs, hash set otherwise) and produces exact `nnz(C_i*)`.
 //! 2. **Exact allocation** — prefix sum of row sizes.
@@ -26,14 +28,10 @@
 //! caller's thread.
 
 use crate::check_dims;
+use accum::estimate::ROW_BLOCK;
 use accum::{AccumulatorKind, ScratchPool, DENSE_WIDTH_LIMIT};
 use rayon::prelude::*;
 use sparse::{ColId, CsrMatrix, CsrView, Result};
-
-/// Row-chunk granularity for the parallel phases. Small enough for work
-/// stealing to balance skewed matrices, large enough to amortize
-/// accumulator setup.
-const CHUNK: usize = 256;
 
 /// Computes `C = a · b` with the multicore hash algorithm.
 pub fn multiply(a: &CsrMatrix, b: &CsrMatrix) -> Result<CsrMatrix> {
@@ -77,7 +75,7 @@ pub fn multiply_view_with(a: &CsrView<'_>, b: &CsrMatrix, pool: &ScratchPool) ->
         let mut rest_v: &mut [f64] = &mut vals;
         let mut chunk_start = 0usize;
         while chunk_start < n_rows {
-            let chunk_end = (chunk_start + CHUNK).min(n_rows);
+            let chunk_end = (chunk_start + ROW_BLOCK).min(n_rows);
             let len = offsets[chunk_end] - offsets[chunk_start];
             let (head_c, tail_c) = rest_c.split_at_mut(len);
             let (head_v, tail_v) = rest_v.split_at_mut(len);
@@ -105,11 +103,11 @@ pub fn multiply_view_with(a: &CsrView<'_>, b: &CsrMatrix, pool: &ScratchPool) ->
 fn symbolic(a: &CsrView<'_>, b: &CsrMatrix, pool: &ScratchPool) -> Vec<usize> {
     let n_rows = a.n_rows();
     let width = b.n_cols();
-    (0..n_rows.div_ceil(CHUNK).max(1))
+    (0..n_rows.div_ceil(ROW_BLOCK).max(1))
         .into_par_iter()
         .flat_map_iter(|chunk| {
-            let lo = chunk * CHUNK;
-            let hi = (lo + CHUNK).min(n_rows);
+            let lo = chunk * ROW_BLOCK;
+            let hi = (lo + ROW_BLOCK).min(n_rows);
             let mut out = Vec::with_capacity(hi - lo);
             pool.with(|s| {
                 for r in lo..hi {
@@ -143,7 +141,7 @@ fn numeric_chunk(
         AccumulatorKind::Hash
     };
     let chunk_len = out_c.len();
-    let rows = chunk_start..(chunk_start + CHUNK).min(row_nnz.len());
+    let rows = chunk_start..(chunk_start + ROW_BLOCK).min(row_nnz.len());
     pool.with(|scratch| {
         let mut cursor = 0usize;
         for r in rows {

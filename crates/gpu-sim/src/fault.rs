@@ -22,8 +22,8 @@ pub enum FaultKind {
     Copy,
     /// `cudaMalloc` failure.
     Alloc,
-    /// Pool-reservation failure (bump allocation from a pre-allocated
-    /// pool).
+    /// Pool-reservation failure (a chunk's reservation in a
+    /// pre-allocated pool).
     PoolReserve,
 }
 

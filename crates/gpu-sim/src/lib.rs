@@ -17,9 +17,14 @@
 //!   (de)allocation is a device-wide synchronization barrier — "two
 //!   commands from different streams can not run concurrently if the
 //!   host issues any device memory allocation and deallocations";
-//! * a pre-allocated **bump pool** ([`MemoryPool`]) — the paper's
-//!   "large chunk of memory ... shared by all dynamic data structures,
-//!   for each data structure we maintain an offset";
+//! * the hooks a pre-allocated pool needs — the paper's "large chunk
+//!   of memory ... shared by all dynamic data structures, for each data
+//!   structure we maintain an offset": the pool is one
+//!   [`GpuSim::malloc`] that the caller carves up itself (the
+//!   `oocgemm` crate's `PipelineSession` cuts it into an A slot and one
+//!   slot per pipeline epoch), [`GpuSim::check_pool_reserve`] is each
+//!   chunk's reservation, and [`GpuSim::note_pool_high_water`] records
+//!   the pool's use;
 //! * **pinned vs pageable** host buffers (pageable copies get degraded
 //!   bandwidth);
 //! * an analytic [`CostModel`] calibrated against the paper's V100 +
@@ -61,7 +66,7 @@ pub mod trace;
 
 pub use cost::{CostModel, KernelClass, KernelKind};
 pub use fault::{CapacityShrink, FaultKind, FaultPlan, FaultState, FaultStats, SimFault};
-pub use memory::{DeviceAlloc, DeviceMemory, MemoryPool, OutOfDeviceMemory};
+pub use memory::{DeviceAlloc, DeviceMemory, OutOfDeviceMemory};
 pub use metrics::{EngineMetrics, KernelClassMetrics, StreamMetrics, TimelineMetrics};
 pub use props::DeviceProps;
 pub use sim::{CopyDir, Event, GpuSim, HostMem, Stream};

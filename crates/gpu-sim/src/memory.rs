@@ -1,7 +1,5 @@
-//! Device memory accounting: a capacity-checked allocator and the
-//! paper's pre-allocated bump pool.
+//! Device memory accounting: a capacity-checked allocator.
 
-use crate::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -119,95 +117,6 @@ impl DeviceMemory {
     }
 }
 
-/// The paper's pre-allocated shared memory pool (Section IV-B,
-/// "Pre-Allocation to Avoid Dynamic Memory Allocation").
-///
-/// One large device allocation made before the pipeline starts; every
-/// per-chunk data structure takes an incrementally-assigned offset.
-/// `reset` recycles the pool between chunks without touching the
-/// device allocator — which is what keeps the streams concurrent.
-#[derive(Debug)]
-pub struct MemoryPool {
-    capacity: u64,
-    cursor: u64,
-    high_water: u64,
-    allocations: u64,
-    resets: u64,
-}
-
-impl MemoryPool {
-    /// Creates a pool of `capacity` bytes (already device-allocated by
-    /// the caller).
-    pub fn new(capacity: u64) -> Self {
-        MemoryPool {
-            capacity,
-            cursor: 0,
-            high_water: 0,
-            allocations: 0,
-            resets: 0,
-        }
-    }
-
-    /// Pool capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes handed out since the last reset.
-    pub fn used(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Peak bytes used in any epoch.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
-    }
-
-    /// Total sub-allocations served (across resets).
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Number of epochs (resets).
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-
-    /// Takes `bytes` from the pool (aligned to 256, as CUDA would),
-    /// returning the offset, or an error if the pool is exhausted.
-    pub fn bump(&mut self, bytes: u64) -> Result<u64, OutOfDeviceMemory> {
-        let aligned = bytes.div_ceil(256) * 256;
-        if self.cursor + aligned > self.capacity {
-            return Err(OutOfDeviceMemory {
-                requested: aligned,
-                free: self.capacity - self.cursor,
-                capacity: self.capacity,
-            });
-        }
-        let offset = self.cursor;
-        self.cursor += aligned;
-        self.high_water = self.high_water.max(self.cursor);
-        self.allocations += 1;
-        Ok(offset)
-    }
-
-    /// Recycles the pool for the next chunk: `O(1)`, no device
-    /// synchronization — the whole point of the design.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-        self.resets += 1;
-    }
-}
-
-/// A host-side timestamped memory usage sample, for capacity traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemSample {
-    /// Host time of the sample.
-    pub at: SimTime,
-    /// Bytes in use.
-    pub in_use: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,40 +153,5 @@ mod tests {
         let a = m.alloc(10).unwrap();
         m.dealloc(a);
         m.dealloc(a);
-    }
-
-    #[test]
-    fn pool_bump_and_reset() {
-        let mut p = MemoryPool::new(4096);
-        let o1 = p.bump(100).unwrap();
-        let o2 = p.bump(100).unwrap();
-        assert_eq!(o1, 0);
-        assert_eq!(o2, 256, "offsets are 256-aligned");
-        assert_eq!(p.used(), 512);
-        p.reset();
-        assert_eq!(p.used(), 0);
-        let o3 = p.bump(1).unwrap();
-        assert_eq!(o3, 0, "reset recycles from the start");
-        assert_eq!(p.high_water(), 512);
-        assert_eq!(p.allocations(), 3);
-        assert_eq!(p.resets(), 1);
-    }
-
-    #[test]
-    fn pool_exhaustion() {
-        let mut p = MemoryPool::new(1024);
-        p.bump(512).unwrap();
-        p.bump(512).unwrap();
-        assert!(p.bump(1).is_err());
-        p.reset();
-        assert!(p.bump(1024).is_ok());
-    }
-
-    #[test]
-    fn pool_zero_byte_bump_is_free() {
-        let mut p = MemoryPool::new(256);
-        let o = p.bump(0).unwrap();
-        assert_eq!(o, 0);
-        assert_eq!(p.used(), 0);
     }
 }

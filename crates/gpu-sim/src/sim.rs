@@ -61,7 +61,7 @@ pub struct GpuSim {
     host_clock: SimTime,
     timeline: Timeline,
     faults: Option<FaultState>,
-    /// High-water mark over host-managed bump pools carved out of this
+    /// High-water mark over host-managed pools carved out of this
     /// device (reported via [`GpuSim::note_pool_high_water`]).
     pool_high_water: u64,
 }
@@ -348,7 +348,7 @@ impl GpuSim {
         self.push_marker(OpKind::Recovery, label.into());
     }
 
-    /// Reports the high-water mark of a host-managed bump pool carved
+    /// Reports the high-water mark of a host-managed pool carved
     /// out of this device's memory (the metrics layer cannot see pool
     /// offsets, only the backing allocation). The maximum across all
     /// reports is kept.
@@ -356,7 +356,7 @@ impl GpuSim {
         self.pool_high_water = self.pool_high_water.max(bytes);
     }
 
-    /// Largest reported bump-pool usage, bytes (0 if never reported).
+    /// Largest reported pool usage, bytes (0 if never reported).
     pub fn pool_high_water(&self) -> u64 {
         self.pool_high_water
     }

@@ -32,6 +32,6 @@ pub mod sync;
 pub use alternatives::{esc_chunk, rmerge_chunk, AltChunkReport};
 pub use phases::{
     describe_rows, prepare_chunk, prepare_chunk_with, ChunkJob, ChunkProduct, NumericGroups,
-    PreparedChunk, RowGroups, GROUP_BOUNDS, NNZ_GROUP_BOUNDS, ROW_BLOCK,
+    PreparedChunk, RowGroups, NNZ_GROUP_BOUNDS,
 };
 pub use sync::{simulate_sync_chunk, sync_chunk, SyncChunkReport};

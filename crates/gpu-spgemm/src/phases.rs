@@ -8,22 +8,12 @@
 //! per-group flops, bytes, compression ratio) that the
 //! [`gpu_sim::CostModel`] needs to charge simulated durations.
 
-use accum::estimate::{build_model_from_flops, EstimateConfig};
+use accum::estimate::{build_model_from_flops, EstModel, EstimateConfig, NUM_GROUPS, ROW_BLOCK};
 use accum::ScratchPool;
 use cpu_spgemm::parallel_hash;
 use rayon::prelude::*;
 use sparse::{CsrMatrix, CsrView};
 use std::mem::take;
-
-/// Flop boundaries of the row groups used for load balancing, matching
-/// the magnitude binning spECK performs host-side. A row with flop
-/// count `f` goes to the first group with `f <= bound`.
-pub const GROUP_BOUNDS: [u64; 4] = [64, 1024, 16384, u64::MAX];
-
-/// Row-block granularity of the intra-chunk parallel row analysis.
-/// Chunks at or below this size run it serially — forking rayon tasks
-/// for a few hundred rows costs more than it saves.
-pub const ROW_BLOCK: usize = 256;
 
 /// One chunk multiplication job: a row panel of `A` times a column
 /// panel of `B` (already column-localized).
@@ -48,16 +38,17 @@ pub struct RowGroups {
 }
 
 impl RowGroups {
-    /// Bins rows by their flop counts into [`GROUP_BOUNDS`] magnitude
-    /// classes; empty groups are dropped.
+    /// Bins rows by their flop counts into the estimator's magnitude
+    /// classes ([`accum::estimate::GROUP_BOUNDS`], via
+    /// [`EstModel::group_of`]); empty groups are dropped.
     pub fn from_row_flops(row_flops: &[u64]) -> Self {
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); GROUP_BOUNDS.len()];
-        let mut group_flops = vec![0u64; GROUP_BOUNDS.len()];
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); NUM_GROUPS];
+        let mut group_flops = vec![0u64; NUM_GROUPS];
         for (r, &f) in row_flops.iter().enumerate() {
             if f == 0 {
                 continue;
             }
-            let g = GROUP_BOUNDS.iter().position(|&b| f <= b).unwrap();
+            let g = EstModel::group_of(f);
             groups[g].push(r as u32);
             group_flops[g] += f;
         }

@@ -14,8 +14,9 @@
 //!   banded/FEM-style, Kronecker) plus [`gen::suite()`], the 9-matrix
 //!   analogue of the paper's Table II evaluation suite.
 //! * [`stats`] — nnz / flop / compression-ratio analysis (Table II).
-//! * [`partition`] — row-panel and two-stage column-panel partitioners
-//!   (Section III-D), including the `col_offset` cursor optimization.
+//! * [`partition`] — balanced range splits for row panels and the
+//!   two-stage column-panel partitioners (Section III-D), including the
+//!   `col_offset` cursor optimization.
 //!
 //! Column indices are stored as `u32` ([`ColId`]); values are `f64`, the
 //! data type the paper evaluates with (Section V-B).

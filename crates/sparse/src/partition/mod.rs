@@ -4,16 +4,18 @@
 //! into *column panels*; the product of row panel `i` and column panel
 //! `j` is the output chunk `C[i][j]` (Algorithm 3).
 //!
-//! * [`row`] — row panels are trivial for CSR (contiguous row ranges).
+//! * Row panels are trivial for CSR: "partitioning the matrix A to row
+//!   panels is straight-forward", a panel is a contiguous row range
+//!   viewed in place ([`crate::CsrView::rows`]). The out-of-core
+//!   planner picks the ranges by flops with
+//!   [`weighted_ranges_from_prefix`].
 //! * [`col`] — column panels require a gather; this module implements
 //!   the paper's naive rescan algorithm, its `col_offset` cursor
 //!   optimization, and the prefix-sum parallel variant.
 
 pub mod col;
-pub mod row;
 
 pub use col::{ColPanel, ColPartitioner};
-pub use row::RowPartition;
 
 use std::ops::Range;
 

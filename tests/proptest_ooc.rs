@@ -105,11 +105,9 @@ proptest! {
         k_r in 1usize..4,
         k_c in 1usize..4,
     ) {
-        let planner = oocgemm::Planner::new(&a, &a).unwrap();
-        let plan = planner.fixed(k_r, k_c).unwrap();
-        let panels = sparse::partition::ColPartitioner::Cursor
-            .partition(&a, &plan.col_ranges);
-        let grid = oocgemm::ChunkGrid::compute(&a, &plan, &panels);
+        let grid = oocgemm::prepare_grid(&a, &a, &OocConfig::default().panels(k_r, k_c))
+            .unwrap()
+            .grid;
         prop_assert_eq!(grid.total_flops(), sparse::stats::total_flops(&a, &a));
         // The ratio split covers all chunks exactly once.
         let order = grid.sorted_desc();
