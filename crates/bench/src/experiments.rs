@@ -15,7 +15,7 @@ use crate::table::TextTable;
 use crate::SuiteEntry;
 use gpu_sim::DeviceProps;
 use oocgemm::report::cpu_baseline_ns;
-use oocgemm::{ExecMode, Hybrid, HybridConfig, OocConfig, OutOfCoreGpu};
+use oocgemm::{EstimateConfig, ExecMode, Hybrid, HybridConfig, OocConfig, OutOfCoreGpu};
 use serde::{Deserialize, Serialize};
 
 /// Everything measured for one matrix — the source for Figs 4 and 7–9
@@ -79,11 +79,18 @@ pub struct MatrixReport {
     pub overlap_efficiency: f64,
 }
 
+/// The paper's configuration of the out-of-core executor on `entry`'s
+/// device: planned exactly, as the paper has no nnz(C) estimator.
+/// Speculative planning is measured on its own by `repro estimate`.
+fn paper_config(entry: &SuiteEntry) -> OocConfig {
+    OocConfig::with_device_memory(entry.device_bytes()).estimator(EstimateConfig::exact())
+}
+
 /// Runs every per-matrix experiment.
 pub fn run_matrix(entry: &SuiteEntry) -> oocgemm::Result<MatrixReport> {
     let device_bytes = entry.device_bytes();
     let a = &entry.matrix;
-    let base = OocConfig::with_device_memory(device_bytes);
+    let base = paper_config(entry);
 
     // Async GPU run with the auto plan; its plan pins every other run.
     let gpu_async = OutOfCoreGpu::new(base.clone()).multiply(a, a)?;
@@ -398,11 +405,12 @@ pub struct RatioPoint {
     pub gflops: f64,
 }
 
-/// Fig 10: hybrid GFLOPS as the GPU flop ratio sweeps.
+/// Fig 10: hybrid GFLOPS as the GPU flop ratio of Algorithm 4's static
+/// split sweeps. The work-stealing scheduler takes the ratio only as a
+/// prefetch hint, so under it the sweep would be flat.
 pub fn ratio_sweep(entry: &SuiteEntry, ratios: &[f64]) -> oocgemm::Result<Vec<RatioPoint>> {
-    let device_bytes = entry.device_bytes();
     let a = &entry.matrix;
-    let base = OocConfig::with_device_memory(device_bytes);
+    let base = paper_config(entry);
     // Pin the plan once.
     let probe = OutOfCoreGpu::new(base.clone()).multiply(a, a)?;
     let pinned = base.panels(probe.plan.row_panels(), probe.plan.col_panels());
@@ -413,7 +421,7 @@ pub fn ratio_sweep(entry: &SuiteEntry, ratios: &[f64]) -> oocgemm::Result<Vec<Ra
             ..HybridConfig::paper_default()
         }
         .ratio(ratio);
-        let run = Hybrid::new(cfg).multiply(a, a)?;
+        let run = Hybrid::new(cfg).multiply_static(a, a)?;
         out.push(RatioPoint {
             ratio,
             gflops: run.gflops(),

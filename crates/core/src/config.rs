@@ -55,11 +55,15 @@ pub struct OocConfig {
     /// paper uses 2 (double buffering); deeper pipelines trade device
     /// memory for slack in hiding host-side gaps.
     pub pipeline_depth: usize,
-    /// Deterministic fault schedule. `Some` routes the run through the
-    /// self-healing pipeline (retries, re-splits, CPU demotion); the
-    /// assembled output stays bit-identical to the fault-free run.
+    /// Deterministic fault schedule injected into the simulated device.
+    /// Every async run goes through the self-healing pipeline, so a
+    /// plan only decides which recovery actions fire (retries,
+    /// re-splits, CPU demotion); a plan whose rates are all zero
+    /// changes nothing, and the assembled output stays bit-identical
+    /// to the fault-free run.
     pub fault_plan: Option<FaultPlan>,
-    /// Bounds on the recovery actions taken under a fault plan.
+    /// How the hybrid executor answers the fault plan's loss of its
+    /// GPU worker.
     pub recovery: RecoveryPolicy,
     /// Output-size estimator driving planning and speculative
     /// execution. Non-exact kinds (the default) let async runs plan
@@ -152,7 +156,7 @@ impl OocConfig {
         self
     }
 
-    /// Sets the recovery policy used under a fault plan.
+    /// Sets the recovery policy (see [`RecoveryPolicy`]).
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
         self
@@ -255,12 +259,6 @@ impl OocConfig {
                 return Err(crate::OocError::Config(
                     "deadline must be a positive simulated time".into(),
                 ));
-            }
-            if !(0.0..=1.0).contains(&b.max_recovery_fraction) {
-                return Err(crate::OocError::Config(format!(
-                    "max recovery fraction {} outside [0, 1]",
-                    b.max_recovery_fraction
-                )));
             }
         }
         Ok(())

@@ -9,7 +9,7 @@ use crate::metrics::{
 };
 use crate::pipeline::{recovering_pass, ChunkAttempt, ChunkFailure};
 use crate::plan::{split_range_by_flops, PanelPlan, Planner};
-use crate::recovery::{backoff_ns, RecoveryReport};
+use crate::recovery::{backoff_ns, RecoveryReport, MAX_RECOVERY_FRACTION, MAX_RESPLIT_DEPTH};
 use crate::Result;
 use accum::estimate::{EstimateConfig, EstimatorKind};
 use gpu_sim::{GpuSim, SimTime, Timeline};
@@ -223,44 +223,6 @@ pub fn prepare_grid_pooled(
     Ok(pg)
 }
 
-/// Simulates the chosen execution mode over an ordered chunk list and
-/// returns the completion time.
-pub(crate) fn simulate_order(
-    sim: &mut GpuSim,
-    pg: &PreparedGrid,
-    order: &[ChunkInfo],
-    config: &OocConfig,
-) -> Result<SimTime> {
-    // The A panel stays resident while consecutive chunks share it.
-    let transfer_a: Vec<bool> = order
-        .iter()
-        .enumerate()
-        .map(|(i, info)| i == 0 || order[i - 1].id.row != info.id.row)
-        .collect();
-    match config.mode {
-        ExecMode::Sync => {
-            let stream = sim.create_stream();
-            let mut done = sim.now();
-            for (info, &xfer_a) in order.iter().zip(&transfer_a) {
-                let chunk = &pg.chunk(info.id).desc;
-                done = gpu_spgemm::simulate_sync_chunk(sim, stream, chunk, xfer_a)?;
-            }
-            Ok(done)
-        }
-        ExecMode::Async => {
-            let refs: Vec<&ChunkProduct> = order.iter().map(|info| pg.chunk(info.id)).collect();
-            crate::pipeline::simulate_pipeline_depth(
-                sim,
-                &refs,
-                &transfer_a,
-                config.split_fraction,
-                config.pinned,
-                config.pipeline_depth,
-            )
-        }
-    }
-}
-
 /// What one simulated device produced for its share of a run.
 #[derive(Default)]
 pub(crate) struct DeviceRun {
@@ -276,12 +238,14 @@ pub(crate) struct DeviceRun {
 }
 
 /// Runs `order` on one simulated device, which carries
-/// `config.fault_plan` when one is set. Fault plans, host fault plans,
-/// run budgets and speculative grids take the recovering orchestration
-/// (estimate overflows surface as recoverable chunk failures there);
-/// everything else takes the exact one-shot pass. Either way the run
-/// only schedules the grid's chunks, so C is [`assemble_product`] of
-/// the grid whatever recovery did.
+/// `config.fault_plan` when one is set. A clean, exact sync run is the
+/// paper's synchronous baseline: one stream, each chunk's allocations
+/// and transfers in turn, A copied once per row panel. Every other run
+/// — async, clean or faulted, exact or speculative, and sync under a
+/// fault plan, host faults or a budget — takes the self-healing
+/// pipeline ([`simulate_order_recovering`]). Either way the run only
+/// schedules the grid's chunks, so C is [`assemble_product`] of the
+/// grid whatever recovery did.
 pub(crate) fn run_on_device(
     a: &CsrMatrix,
     pg: &PreparedGrid,
@@ -292,14 +256,22 @@ pub(crate) fn run_on_device(
         Some(plan) => GpuSim::with_faults(config.device.clone(), config.cost.clone(), plan.clone()),
         None => GpuSim::new(config.device.clone(), config.cost.clone()),
     };
-    let recovering = config.fault_plan.is_some()
-        || config.host_faults.is_some()
-        || config.budget.is_some()
-        || pg.estimator.is_some();
-    if recovering {
+    let sync_baseline = config.mode == ExecMode::Sync
+        && config.fault_plan.is_none()
+        && config.host_faults.is_none()
+        && config.budget.is_none()
+        && pg.estimator.is_none();
+    if !sync_baseline {
         return simulate_order_recovering(sim, a, pg, order, config);
     }
-    let sim_ns = simulate_order(&mut sim, pg, order, config)?;
+    let stream = sim.create_stream();
+    let mut sim_ns = sim.now();
+    for (i, info) in order.iter().enumerate() {
+        // The A panel stays resident while consecutive chunks share it.
+        let transfer_a = i == 0 || order[i - 1].id.row != info.id.row;
+        let chunk = &pg.chunk(info.id).desc;
+        sim_ns = gpu_spgemm::simulate_sync_chunk(&mut sim, stream, chunk, transfer_a)?;
+    }
     Ok(DeviceRun {
         sim_ns,
         metrics: Metrics::collect(&sim, sim_ns),
@@ -439,15 +411,16 @@ impl<'r> Recovery<'r> {
     }
 }
 
-/// Self-healing pass-based orchestration, used whenever a fault plan,
-/// host-fault plan, run budget or speculative grid is in play (both
-/// exec modes route through the pooled async-style schedule — recovery
-/// needs the pool geometry to reason about what fits). Each pass runs
-/// the surviving work list through [`recovering_pass`] on one
-/// persistent simulator (time accumulates across passes); failed
-/// chunks are re-split along the planner's row-flop prefix sums (OOM),
-/// grown (estimate overflow) or demoted to the CPU executor (fault
-/// budget exhausted), until the list is empty.
+/// Self-healing pass-based orchestration: the one async device pass,
+/// and the sync mode's path under a fault plan, host faults or a budget
+/// (it runs the pooled async-style schedule — recovery needs the pool
+/// geometry to reason about what fits). Each pass runs the surviving
+/// work list through [`recovering_pass`] on one persistent simulator
+/// (time accumulates across passes); failed chunks are re-split along
+/// the planner's row-flop prefix sums (OOM), grown (estimate overflow)
+/// or demoted to the CPU executor (fault budget exhausted, or an
+/// oversized chunk at the re-split depth bound), until the list is
+/// empty. A clean run is one pass that ends with the pool's `free`.
 ///
 /// When a [`crate::recovery::RunBudget`] is installed the pass loop is
 /// supervised: at every pass boundary the budget's degradation rung is
@@ -469,7 +442,6 @@ fn simulate_order_recovering(
     order: &[ChunkInfo],
     config: &OocConfig,
 ) -> Result<DeviceRun> {
-    let policy = config.recovery;
     let budget = config.budget;
     let planning_capacity = sim.memory().capacity();
     let mut r = Recovery {
@@ -490,7 +462,7 @@ fn simulate_order_recovering(
     let mut rung: u8 = 0;
     let mut deadline_hit = false;
     let mut replanned = false;
-    let splittable = |w: &WorkItem| w.rows.len() > 1 && w.depth < policy.max_resplit_depth;
+    let splittable = |w: &WorkItem| w.rows.len() > 1 && w.depth < MAX_RESPLIT_DEPTH;
     let total_chunks = order.len();
     let mut pending: Vec<WorkItem> = order
         .iter()
@@ -512,8 +484,7 @@ fn simulate_order_recovering(
             if deadline_hit {
                 target = 3;
             }
-            if elapsed > 0
-                && r.report.time_lost_ns as f64 > b.max_recovery_fraction * elapsed as f64
+            if elapsed > 0 && r.report.time_lost_ns as f64 > MAX_RECOVERY_FRACTION * elapsed as f64
             {
                 target = target.max(rung.saturating_add(1)).min(3);
             }
@@ -621,7 +592,7 @@ fn simulate_order_recovering(
             let (row, col) = (w.parent.row, w.parent.col);
             match failed.get(&i).copied() {
                 None => {}
-                Some(ChunkFailure::Oom(_)) if splittable(&w) => {
+                Some(ChunkFailure::Oom) if splittable(&w) => {
                     r.report.resplits += 1;
                     if let Some(s) = r.stats.get_mut(&w.parent) {
                         s.resplits += 1;
@@ -655,15 +626,12 @@ fn simulate_order_recovering(
                     next.push(w);
                 }
                 Some(f) => {
-                    if !policy.demote_to_cpu {
-                        return Err(f.into_error(&format!("({row},{col})")));
-                    }
                     r.sim.note_recovery(format!(
                         "demote chunk ({row},{col}) rows {}..{} to CPU",
                         w.rows.start, w.rows.end
                     ));
                     let cause = match f {
-                        ChunkFailure::Oom(_) => DemotionCause::DeviceMemory,
+                        ChunkFailure::Oom => DemotionCause::DeviceMemory,
                         _ => DemotionCause::Faults,
                     };
                     r.demote(&w, cause);
@@ -878,6 +846,7 @@ impl OutOfCoreGpu {
     /// configuration whose planning-relevant fields (panels, estimator,
     /// column partitioner, device geometry) match `self.config()`.
     pub fn multiply_prepared(&self, a: &CsrMatrix, pg: &PreparedGrid) -> Result<OocRun> {
+        self.config.validate()?;
         let order = execution_order(pg, &self.config);
         let mut run = run_on_device(a, pg, &order, &self.config)?;
         run.metrics.estimator = estimator_stats(pg, &run.recovery);

@@ -16,8 +16,7 @@ use crate::chunks::{ChunkGrid, ChunkInfo};
 use crate::config::{HybridConfig, OocConfig, SchedulerKind};
 use crate::error::OocError;
 use crate::executor::{
-    assemble_product, estimator_stats, prepare_grid, run_on_device, simulate_order, DeviceRun,
-    PreparedGrid,
+    assemble_product, estimator_stats, prepare_grid, run_on_device, DeviceRun, PreparedGrid,
 };
 use crate::faults::{self, HostFaultState};
 use crate::metrics::{Metrics, SchedulerStats};
@@ -25,7 +24,7 @@ use crate::plan::PanelPlan;
 use crate::recovery::RecoveryReport;
 use crate::scheduler::assign;
 use crate::Result;
-use gpu_sim::{GpuSim, SimTime, Timeline};
+use gpu_sim::{SimTime, Timeline};
 use sparse::CsrMatrix;
 
 /// A completed hybrid run.
@@ -312,14 +311,20 @@ impl Hybrid {
     /// Exhaustively evaluates every GPU chunk count (Table III:
     /// "determined through exhaustive search") and compares the fixed
     /// flop ratio against the optimum. The search enumerates static
-    /// prefix splits — the same family both schedulers draw from.
+    /// prefix splits — the same family both schedulers draw from — and
+    /// prices each GPU prefix on the executor's own device run, so a
+    /// chunk that outgrows its pool epoch is re-split there, not an
+    /// error.
     pub fn ratio_search(&self, a: &CsrMatrix, b: &CsrMatrix) -> Result<RatioSearch> {
         self.config.validate()?;
         // Static prefix splits are compared on the *exact* schedule, so
         // the per-`g` times stay comparable across estimator settings.
-        // The search ignores fault plans, device and host alike.
+        // The search ignores fault plans, device and host alike, and
+        // run budgets.
         let mut gpu = (self.config.gpu.clone()).estimator(accum::estimate::EstimateConfig::exact());
+        gpu.fault_plan = None;
         gpu.host_faults = None;
+        gpu.budget = None;
         let pg = prepare_grid(a, b, &gpu)?;
         let order = self.ordered_chunks(&pg);
         let (ratio_gpu, _) = ChunkGrid::split_by_ratio(&order, self.config.gpu_ratio);
@@ -328,8 +333,7 @@ impl Hybrid {
         let mut per_g = Vec::with_capacity(order.len() + 1);
         for g in 0..=order.len() {
             let gpu_order = ChunkGrid::grouped_desc(&order[..g]);
-            let mut sim = GpuSim::new(gpu.device.clone(), gpu.cost.clone());
-            let gpu_ns = simulate_order(&mut sim, &pg, &gpu_order, &gpu)?;
+            let gpu_ns = run_on_device(a, &pg, &gpu_order, &gpu)?.sim_ns;
             let cpu_ns = cpu_worker_ns(&pg, &order[g..], &gpu, &mut RecoveryReport::default());
             per_g.push((g, gpu_ns.max(cpu_ns)));
         }

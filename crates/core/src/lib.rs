@@ -11,7 +11,7 @@
 //! streaming chunks back to host memory. On top of that framework it
 //! implements the paper's three contributions:
 //!
-//! * **asynchronous execution** ([`pipeline`]) — double-buffered
+//! * **asynchronous execution** ([`executor`]) — double-buffered
 //!   streams, a pre-allocated memory pool instead of `cudaMalloc`, and
 //!   the Figure 6 transfer schedule (row-analysis results first, output
 //!   split 33 % / 67 % across the next chunk's symbolic and numeric
@@ -51,7 +51,7 @@ pub mod faults;
 pub mod hybrid;
 pub mod metrics;
 pub mod multigpu;
-pub mod pipeline;
+mod pipeline;
 pub mod plan;
 pub mod recovery;
 pub mod report;

@@ -20,43 +20,24 @@
 //! The schedule is written once, in `PipelineSession`. Every stage
 //! goes through the simulator's fallible `try_enqueue_*` calls with
 //! bounded retries, so a fault-free simulator runs it unchanged and a
-//! faulted one heals it. Three callers push chunks into a session:
+//! faulted one heals it. Two callers push chunks into a session:
 //!
-//! * [`simulate_pipeline_depth`], the exact one-shot pass: any chunk
-//!   failure is an error;
-//! * `recovering_pass`, one pass of the self-healing executor: failed
-//!   chunks are handed back for re-splitting, growing or demotion;
+//! * `recovering_pass`, one pass of the self-healing executor, which
+//!   runs every async device pass, clean or faulted, exact or
+//!   speculative: failed chunks are handed back for re-splitting,
+//!   growing or demotion;
 //! * the work-stealing scheduler's claim auction, which pushes onto a
 //!   clean scratch simulator, admits speculative chunks by their exact
 //!   footprint, and reads the session's projected finish time.
 
-use crate::recovery::{backoff_ns, RecoveryPolicy, RecoveryReport};
-use gpu_sim::{
-    CopyDir, DeviceAlloc, GpuSim, HostMem, KernelKind, OutOfDeviceMemory, SimTime, Stream,
-};
+use crate::recovery::{backoff_ns, RecoveryReport, MAX_RETRIES};
+use gpu_sim::{CopyDir, DeviceAlloc, GpuSim, HostMem, KernelKind, SimTime, Stream};
 use gpu_spgemm::{ChunkProduct, PreparedChunk};
 
 /// Host-side per-row cost of the grouping pass, ns.
 const GROUPING_NS_PER_ROW: u64 = 2;
 /// Host-side per-row cost of the allocation prefix sum, ns.
 const PREFIX_NS_PER_ROW: u64 = 1;
-
-/// Checks the caller-reachable pipeline arguments, returning
-/// [`crate::OocError::Config`] instead of panicking: `depth` and
-/// `split_fraction` arrive straight from the CLI/config layer.
-fn validate_pipeline_args(split_fraction: f64, depth: usize) -> crate::Result<()> {
-    if depth < 2 {
-        return Err(crate::OocError::Config(format!(
-            "pipeline depth must be at least 2, got {depth}"
-        )));
-    }
-    if !(0.0..=1.0).contains(&split_fraction) {
-        return Err(crate::OocError::Config(format!(
-            "split fraction must be in [0, 1], got {split_fraction}"
-        )));
-    }
-    Ok(())
-}
 
 /// Splits the pool bytes left after the A slot across `depth` epochs.
 /// Integer division drops up to `depth - 1` remainder bytes; epoch 0
@@ -81,62 +62,6 @@ pub(crate) fn a_slot_bytes<'c>(chunks: impl IntoIterator<Item = &'c PreparedChun
         .map(|c| align256(c.a_bytes))
         .max()
         .unwrap_or(0)
-}
-
-/// Runs the exact one-shot pass over prepared chunks, in the given
-/// order, and returns the simulated completion time. `transfer_a[i]`
-/// says whether chunk `i` (re)copies its A panel; the first chunk
-/// always does, since nothing is resident yet. `depth` is the number
-/// of stream/buffer epochs: 2 is the paper's double buffering, deeper
-/// pipelines split the pool further (less room per chunk) in exchange
-/// for more in-flight chunks.
-///
-/// A chunk that does not fit the pool geometry, or whose retries run
-/// out on a faulted simulator, is an error. The pool stays allocated,
-/// so the timeline ends with the last output transfer.
-pub fn simulate_pipeline_depth(
-    sim: &mut GpuSim,
-    chunks: &[&ChunkProduct],
-    transfer_a: &[bool],
-    split_fraction: f64,
-    pinned: bool,
-    depth: usize,
-) -> crate::Result<SimTime> {
-    if chunks.len() != transfer_a.len() {
-        return Err(crate::OocError::Config(format!(
-            "pipeline needs one transfer flag per chunk: {} chunks, {} flags",
-            chunks.len(),
-            transfer_a.len()
-        )));
-    }
-    validate_pipeline_args(split_fraction, depth)?;
-    if chunks.is_empty() {
-        return Ok(sim.now());
-    }
-    // A chunk that copies its A panel starts a new resident row panel.
-    let mut row = 0;
-    let attempts: Vec<ChunkAttempt<'_>> = chunks
-        .iter()
-        .zip(transfer_a)
-        .map(|(&chunk, &xfer_a)| {
-            row += usize::from(xfer_a);
-            ChunkAttempt::whole(chunk, row)
-        })
-        .collect();
-    let a_slot = a_slot_bytes(chunks.iter().map(|c| &c.desc));
-    let policy = RecoveryPolicy::default();
-    let mut session =
-        PipelineSession::new(sim, split_fraction, pinned, depth, a_slot, policy, false)?;
-    for att in &attempts {
-        session
-            .push(att)
-            .map_err(|f| f.into_error(&att.chunk.chunk_id.to_string()))?;
-    }
-    session.finish();
-    if let Some(&(i, f)) = session.failed.first() {
-        return Err(f.into_error(&attempts[i].chunk.chunk_id.to_string()));
-    }
-    Ok(sim.finish())
 }
 
 /// One unit of work for the pipeline: a chunk's descriptor, its output
@@ -167,7 +92,7 @@ impl<'a> ChunkAttempt<'a> {
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ChunkFailure {
     /// The chunk's working set does not fit the pool (re-splittable).
-    Oom(OutOfDeviceMemory),
+    Oom,
     /// Transient faults exhausted the retry budget (demotable).
     Faults,
     /// A speculative chunk's actual output outgrew its estimated
@@ -181,26 +106,6 @@ pub(crate) enum ChunkFailure {
     /// admitted: fail fast so the supervisor can demote it to the CPU
     /// instead of sinking more device time.
     Deadline,
-}
-
-impl ChunkFailure {
-    /// The error a run reports when it cannot recover `chunk` from
-    /// this failure.
-    pub(crate) fn into_error(self, chunk: &str) -> crate::OocError {
-        match self {
-            ChunkFailure::Oom(e) => crate::OocError::DeviceMemory(e),
-            ChunkFailure::Faults => crate::OocError::Worker {
-                worker: "gpu".into(),
-                message: format!("chunk {chunk} exhausted its retry budget"),
-            },
-            ChunkFailure::EstimateOverflow { needed } => crate::OocError::Planning(format!(
-                "chunk {chunk} outgrew its estimated output allocation ({needed} bytes needed)"
-            )),
-            ChunkFailure::Deadline => {
-                unreachable!("deadline failures are re-queued for supervision")
-            }
-        }
-    }
 }
 
 /// Runs one pass of the self-healing executor over `attempts` and
@@ -220,8 +125,7 @@ impl ChunkFailure {
 ///
 /// The pool is released at the end, so a follow-up pass (after
 /// re-splitting) sizes its own pool against the then-current device
-/// capacity. That `free` barrier is the only difference from the exact
-/// one-shot pass over the same chunks.
+/// capacity. `config` must have passed [`crate::OocConfig::validate`].
 pub(crate) fn recovering_pass(
     sim: &mut GpuSim,
     attempts: &[ChunkAttempt<'_>],
@@ -229,19 +133,11 @@ pub(crate) fn recovering_pass(
     report: &mut RecoveryReport,
     deadline_demote_ns: Option<SimTime>,
 ) -> crate::Result<Vec<(usize, ChunkFailure)>> {
-    validate_pipeline_args(config.split_fraction, config.pipeline_depth)?;
     if attempts.is_empty() {
         return Ok(Vec::new());
     }
-    let mut session = PipelineSession::new(
-        sim,
-        config.split_fraction,
-        config.pinned,
-        config.pipeline_depth,
-        a_slot_bytes(attempts.iter().map(|a| a.chunk)),
-        config.recovery,
-        false,
-    )?;
+    let a_slot = a_slot_bytes(attempts.iter().map(|a| a.chunk));
+    let mut session = PipelineSession::new(sim, config, a_slot, false)?;
     let mut failed = Vec::new();
     for (i, att) in attempts.iter().enumerate() {
         // Deadline admission: past the budget's demotion point a chunk
@@ -295,7 +191,6 @@ enum DeviceOp {
 /// enqueue sequence whichever caller pushes them (see module docs).
 pub(crate) struct PipelineSession<'s> {
     sim: &'s mut GpuSim,
-    policy: RecoveryPolicy,
     report: RecoveryReport,
     mem: HostMem,
     split_fraction: f64,
@@ -325,19 +220,19 @@ pub(crate) struct PipelineSession<'s> {
 
 impl<'s> PipelineSession<'s> {
     /// Allocates the device pool (retrying injected `malloc` faults)
-    /// and the stream set. `a_slot_bytes` bounds the resident-A slot
-    /// (see [`a_slot_bytes`]); it is clamped to the pool, so an
-    /// oversized A panel fails its own chunks, not the session.
-    /// `exact_sizes` is the auction's pricing rule (see the field).
+    /// and one stream per epoch of `config.pipeline_depth`, and takes
+    /// the output split and host memory kind from `config`.
+    /// `a_slot_bytes` bounds the resident-A slot (see
+    /// [`a_slot_bytes`]); it is clamped to the pool, so an oversized A
+    /// panel fails its own chunks, not the session. `exact_sizes` is
+    /// the auction's pricing rule (see the field).
     pub(crate) fn new(
         sim: &'s mut GpuSim,
-        split_fraction: f64,
-        pinned: bool,
-        depth: usize,
+        config: &crate::OocConfig,
         a_slot_bytes: u64,
-        policy: RecoveryPolicy,
         exact_sizes: bool,
     ) -> crate::Result<Self> {
+        let depth = config.pipeline_depth;
         let mut report = RecoveryReport::default();
         // One up-front allocation covering the whole working set: "a
         // large chunk of memory is pre-allocated on device memory and
@@ -351,7 +246,7 @@ impl<'s> PipelineSession<'s> {
                 Ok(h) => break (h, want),
                 Err(e) => {
                     report.alloc_faults += 1;
-                    if attempt >= policy.max_retries {
+                    if attempt >= MAX_RETRIES {
                         return Err(crate::OocError::DeviceMemory(e));
                     }
                     attempt += 1;
@@ -366,14 +261,13 @@ impl<'s> PipelineSession<'s> {
         let streams: Vec<Stream> = (0..depth).map(|_| sim.create_stream()).collect();
         Ok(PipelineSession {
             sim,
-            policy,
             report,
-            mem: if pinned {
+            mem: if config.pinned {
                 HostMem::Pinned
             } else {
                 HostMem::Pageable
             },
-            split_fraction,
+            split_fraction: config.split_fraction,
             streams,
             pool,
             a_slot_bytes,
@@ -436,11 +330,7 @@ impl<'s> PipelineSession<'s> {
             self.sim.note_recovery(format!(
                 "skip chunk {id}: needs {need} + {a_need} A bytes, epoch holds {free}"
             ));
-            return Err(ChunkFailure::Oom(OutOfDeviceMemory {
-                requested: need.max(a_need),
-                free,
-                capacity: self.sim.memory().capacity(),
-            }));
+            return Err(ChunkFailure::Oom);
         }
         // Transient pool-reservation faults: retry, then give the
         // chunk up to demotion.
@@ -448,7 +338,7 @@ impl<'s> PipelineSession<'s> {
         let mut attempt = 0u32;
         while self.sim.check_pool_reserve(need, what()).is_err() {
             self.report.pool_faults += 1;
-            if attempt >= self.policy.max_retries {
+            if attempt >= MAX_RETRIES {
                 return Err(ChunkFailure::Faults);
             }
             attempt += 1;
@@ -620,8 +510,8 @@ impl<'s> PipelineSession<'s> {
     }
 
     /// Issues `op` on `stream`, retrying injected faults up to
-    /// `policy.max_retries` times with deterministic simulated
-    /// backoff. `Err` means the retry budget is exhausted.
+    /// `MAX_RETRIES` times with deterministic simulated backoff. `Err`
+    /// means the retry budget is exhausted.
     fn issue(
         &mut self,
         stream: Stream,
@@ -657,7 +547,7 @@ impl<'s> PipelineSession<'s> {
                 }
             };
             self.report.time_lost_ns += fault.lost_ns;
-            if attempt >= self.policy.max_retries {
+            if attempt >= MAX_RETRIES {
                 self.sim.note_recovery(format!(
                     "abandon after {} {what} faults: {label}",
                     attempt + 1
@@ -690,6 +580,7 @@ fn backoff(sim: &mut GpuSim, report: &mut RecoveryReport, attempt: u32, what: &s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OocConfig, OocError, OutOfCoreGpu};
     use gpu_sim::{CostModel, DeviceProps, OpKind};
     use gpu_spgemm::phases::prepare_chunk;
     use gpu_spgemm::ChunkJob;
@@ -715,18 +606,39 @@ mod tests {
             .collect()
     }
 
+    const DEVICE_BYTES: u64 = 96 << 20;
+
     fn new_sim() -> GpuSim {
-        GpuSim::new(DeviceProps::v100_scaled(96 << 20), CostModel::calibrated())
+        GpuSim::new(
+            DeviceProps::v100_scaled(DEVICE_BYTES),
+            CostModel::calibrated(),
+        )
+    }
+
+    /// Runs `prepared` through one recovering pass at `depth` on `sim`,
+    /// every chunk sharing the one resident A panel, and returns the
+    /// chunks that failed.
+    fn run_pass(
+        sim: &mut GpuSim,
+        prepared: &[ChunkProduct],
+        depth: usize,
+    ) -> Vec<(usize, ChunkFailure)> {
+        let mut config = OocConfig::with_device_memory(DEVICE_BYTES);
+        config.pipeline_depth = depth;
+        let attempts: Vec<ChunkAttempt<'_>> =
+            prepared.iter().map(|c| ChunkAttempt::whole(c, 0)).collect();
+        let mut report = RecoveryReport::default();
+        let failed = recovering_pass(sim, &attempts, &config, &mut report, None).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        failed
     }
 
     #[test]
     fn pipeline_overlaps_transfers_with_compute() {
         let prepared = prepared_fixture(4);
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
-
         let mut sim = new_sim();
-        let async_time = simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2).unwrap();
+        assert!(run_pass(&mut sim, &prepared, 2).is_empty());
+        let async_time = sim.finish();
         sim.timeline().validate().unwrap();
 
         // Serial lower bound: sum of all busy times must exceed the
@@ -752,23 +664,38 @@ mod tests {
     #[test]
     fn pipeline_has_no_alloc_barriers_after_setup() {
         let prepared = prepared_fixture(3);
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags = vec![true, false, false];
         let mut sim = new_sim();
-        simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2).unwrap();
-        let barriers = sim.timeline().of_kind(OpKind::AllocBarrier).count();
-        assert_eq!(barriers, 1, "only the up-front pool allocation may exist");
+        assert!(run_pass(&mut sim, &prepared, 2).is_empty());
+        let records = &sim.timeline().records;
+        let barriers: Vec<usize> = (records.iter().enumerate())
+            .filter(|(_, r)| r.kind == OpKind::AllocBarrier)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(
+            barriers.len(),
+            2,
+            "only the pool's malloc and its trailing free may exist"
+        );
+        let (malloc, free) = (&records[barriers[0]], &records[barriers[1]]);
+        assert!(malloc.label.starts_with("malloc"), "{}", malloc.label);
+        assert!(free.label.starts_with("free"), "{}", free.label);
+        assert_eq!(barriers[1], records.len() - 1, "the free closes the pass");
+        assert!(
+            records[..barriers[0]]
+                .iter()
+                .all(|r| r.kind != OpKind::Kernel),
+            "no kernel runs before the pool exists"
+        );
     }
 
     #[test]
     fn deeper_pipelines_are_valid_and_complete() {
         let prepared = prepared_fixture(6);
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
         let mut times = Vec::new();
         for depth in [2usize, 3, 4] {
             let mut sim = new_sim();
-            let t = simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, depth).unwrap();
+            assert!(run_pass(&mut sim, &prepared, depth).is_empty());
+            let t = sim.finish();
             sim.timeline().validate().unwrap();
             // All output bytes still cross the D2H engine exactly once.
             let d2h: u64 = sim
@@ -793,38 +720,37 @@ mod tests {
     #[test]
     fn empty_chunk_list_is_noop() {
         let mut sim = new_sim();
-        let t = simulate_pipeline_depth(&mut sim, &[], &[], 0.33, true, 2).unwrap();
-        assert_eq!(t, 0);
+        assert!(run_pass(&mut sim, &[], 2).is_empty());
+        assert_eq!(sim.finish(), 0);
+        assert!(sim.timeline().records.is_empty());
+    }
+
+    /// Runs a small grid, prepared under a valid configuration, through
+    /// `OutOfCoreGpu::multiply_prepared` under `bad`.
+    fn multiply_prepared_with(bad: impl Fn(&mut OocConfig)) -> crate::Result<crate::OocRun> {
+        let a = erdos_renyi(200, 200, 0.03, 3);
+        let config = OocConfig::with_device_memory(DEVICE_BYTES).panels(2, 2);
+        let pg = crate::prepare_grid(&a, &a, &config).unwrap();
+        let mut config = config;
+        bad(&mut config);
+        OutOfCoreGpu::new(config).multiply_prepared(&a, &pg)
     }
 
     #[test]
     fn shallow_depth_is_a_config_error_not_a_panic() {
-        let mut sim = new_sim();
-        let err = simulate_pipeline_depth(&mut sim, &[], &[], 0.33, true, 1).unwrap_err();
-        match err {
-            crate::OocError::Config(msg) => assert!(msg.contains("depth"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn mismatched_transfer_flags_are_a_config_error() {
-        let prepared = prepared_fixture(2);
-        let refs: Vec<&_> = prepared.iter().collect();
-        let mut sim = new_sim();
-        let err = simulate_pipeline_depth(&mut sim, &refs, &[true], 0.33, true, 2).unwrap_err();
-        match err {
-            crate::OocError::Config(msg) => assert!(msg.contains("transfer flag"), "{msg}"),
-            other => panic!("expected Config error, got {other:?}"),
+        for depth in [0, 1] {
+            match multiply_prepared_with(|c| c.pipeline_depth = depth) {
+                Err(OocError::Config(msg)) => assert!(msg.contains("epochs"), "{msg}"),
+                other => panic!("depth {depth}: expected Config error, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn out_of_range_split_fraction_is_a_config_error() {
-        let mut sim = new_sim();
         for bad in [-0.1, 1.5, f64::NAN] {
-            let err = simulate_pipeline_depth(&mut sim, &[], &[], bad, true, 2).unwrap_err();
-            assert!(matches!(err, crate::OocError::Config(_)), "{bad}: {err:?}");
+            let err = multiply_prepared_with(|c| c.split_fraction = bad).unwrap_err();
+            assert!(matches!(err, OocError::Config(_)), "{bad}: {err:?}");
         }
     }
 
@@ -852,10 +778,8 @@ mod tests {
     #[test]
     fn pipeline_reports_pool_high_water() {
         let prepared = prepared_fixture(3);
-        let refs: Vec<&_> = prepared.iter().collect();
-        let flags: Vec<bool> = (0..refs.len()).map(|i| i == 0).collect();
         let mut sim = new_sim();
-        simulate_pipeline_depth(&mut sim, &refs, &flags, 0.33, true, 2).unwrap();
+        assert!(run_pass(&mut sim, &prepared, 2).is_empty());
         let hw = sim.pool_high_water();
         assert!(hw > 0, "pipeline must report pool usage");
         assert!(
@@ -867,9 +791,12 @@ mod tests {
     #[test]
     fn pool_exhaustion_is_reported() {
         let prepared = prepared_fixture(2);
-        let refs: Vec<&_> = prepared.iter().collect();
         let mut sim = GpuSim::new(DeviceProps::v100_scaled(1 << 16), CostModel::calibrated());
-        let err = simulate_pipeline_depth(&mut sim, &refs, &[true, false], 0.33, true, 2);
-        assert!(err.is_err());
+        let failed = run_pass(&mut sim, &prepared, 2);
+        assert_eq!(failed.len(), 2, "{failed:?}");
+        assert!(
+            failed.iter().all(|(_, f)| matches!(f, ChunkFailure::Oom)),
+            "{failed:?}"
+        );
     }
 }

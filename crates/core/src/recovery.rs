@@ -14,17 +14,23 @@
 
 use gpu_sim::{CostModel, SimTime};
 
-/// Bounds on the recovery actions an executor may take.
+/// Retries per device operation before the chunk is abandoned to CPU
+/// demotion.
+pub(crate) const MAX_RETRIES: u32 = 3;
+
+/// Times a chunk may be re-split in two before an oversized piece is
+/// demoted to the CPU.
+pub(crate) const MAX_RESPLIT_DEPTH: u32 = 4;
+
+/// The `time_lost_ns / elapsed` fraction above which a budgeted run's
+/// supervisor escalates one extra degradation rung (see [`RunBudget`]).
+pub(crate) const MAX_RECOVERY_FRACTION: f64 = 0.25;
+
+/// How the hybrid executor answers the loss of its GPU worker.
+/// Everything else recovery does is fixed: 3 retries per operation, 4
+/// re-splits per chunk, and CPU demotion of whatever still fails.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Maximum retries per operation before the chunk is abandoned to
-    /// demotion.
-    pub max_retries: u32,
-    /// Maximum times a chunk may be re-split in two before demotion.
-    pub max_resplit_depth: u32,
-    /// Demote irrecoverable chunks to the CPU executor instead of
-    /// failing the run.
-    pub demote_to_cpu: bool,
     /// When the fault plan's worker-panic trigger loses the hybrid's
     /// GPU worker, demote its whole share to the CPU clock instead of
     /// surfacing [`crate::OocError::Worker`].
@@ -34,33 +40,12 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            max_retries: 3,
-            max_resplit_depth: 4,
-            demote_to_cpu: true,
             drain_worker_panics: true,
         }
     }
 }
 
 impl RecoveryPolicy {
-    /// Sets the per-operation retry bound.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
-    }
-
-    /// Sets the re-split depth bound.
-    pub fn max_resplit_depth(mut self, n: u32) -> Self {
-        self.max_resplit_depth = n;
-        self
-    }
-
-    /// Enables/disables CPU demotion.
-    pub fn demote_to_cpu(mut self, on: bool) -> Self {
-        self.demote_to_cpu = on;
-        self
-    }
-
     /// Enables/disables draining a lost GPU worker's share.
     pub fn drain_worker_panics(mut self, on: bool) -> Self {
         self.drain_worker_panics = on;
@@ -196,36 +181,22 @@ impl RecoveryReport {
 ///    calibrated cost — the one executor whose time is exactly
 ///    predictable.
 ///
-/// Independently, if the fraction of elapsed time lost to recovery
-/// exceeds `max_recovery_fraction` at a pass boundary, the run
-/// escalates one extra rung — a recovery spiral burns its way down
-/// the same ladder instead of looping. If even CPU demotion cannot
-/// meet the deadline, the run fails with a clean
-/// [`crate::OocError::DeadlineExceeded`] carrying partial accounting —
-/// never a hang.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Independently, if more than 25 % of the elapsed time was lost to
+/// recovery at a pass boundary, the run escalates one extra rung — a
+/// recovery spiral burns its way down the same ladder instead of
+/// looping. If even CPU demotion cannot meet the deadline, the run
+/// fails with a clean [`crate::OocError::DeadlineExceeded`] carrying
+/// partial accounting — never a hang.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunBudget {
     /// Simulated-time deadline for the whole run, ns.
     pub sim_deadline_ns: SimTime,
-    /// Maximum tolerated `time_lost_ns / elapsed` fraction before the
-    /// supervisor escalates a degradation rung, in `[0, 1]`.
-    pub max_recovery_fraction: f64,
 }
 
 impl RunBudget {
-    /// A budget with the given deadline and the default 25 % recovery
-    /// tolerance.
+    /// A budget with the given deadline.
     pub fn deadline(sim_deadline_ns: SimTime) -> Self {
-        RunBudget {
-            sim_deadline_ns,
-            max_recovery_fraction: 0.25,
-        }
-    }
-
-    /// Sets the tolerated recovery fraction.
-    pub fn max_recovery_fraction(mut self, f: f64) -> Self {
-        self.max_recovery_fraction = f;
-        self
+        RunBudget { sim_deadline_ns }
     }
 
     /// The degradation rung (0–3) dictated by elapsed simulated time
@@ -259,10 +230,11 @@ mod tests {
 
     #[test]
     fn default_policy_is_permissive() {
-        let p = RecoveryPolicy::default();
-        assert!(p.max_retries >= 1);
-        assert!(p.demote_to_cpu);
-        assert!(p.drain_worker_panics);
+        // Recovery always retries, re-splits and demotes; the one
+        // setting left drains a lost GPU worker by default.
+        const { assert!(MAX_RETRIES >= 1 && MAX_RESPLIT_DEPTH >= 1) };
+        assert!((0.0..=1.0).contains(&MAX_RECOVERY_FRACTION));
+        assert!(RecoveryPolicy::default().drain_worker_panics);
     }
 
     #[test]

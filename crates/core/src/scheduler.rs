@@ -116,16 +116,7 @@ fn work_stealing(config: &HybridConfig, pg: &PreparedGrid, order: &[ChunkInfo]) 
     // decisions (and steal counts) are identical under any fault plan.
     let projected = |prefix: &[ChunkInfo]| -> Option<SimTime> {
         let mut scratch = GpuSim::new(cfg.device.clone(), cfg.cost.clone());
-        let mut session = PipelineSession::new(
-            &mut scratch,
-            cfg.split_fraction,
-            cfg.pinned,
-            cfg.pipeline_depth,
-            a_slot,
-            cfg.recovery,
-            true,
-        )
-        .ok()?;
+        let mut session = PipelineSession::new(&mut scratch, cfg, a_slot, true).ok()?;
         for info in ChunkGrid::grouped_desc(prefix) {
             session
                 .push(&ChunkAttempt::whole(pg.chunk(info.id), info.id.row))

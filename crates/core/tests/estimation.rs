@@ -6,7 +6,9 @@
 //! including adversarial under-allocation, where every chunk overflows
 //! its estimated buffer and the executor grows-and-retries.
 
-use oocgemm::{EstimateConfig, EstimatorKind, ExecMode, OocConfig, OutOfCoreGpu};
+use oocgemm::{
+    EstimateConfig, EstimatorKind, ExecMode, Hybrid, HybridConfig, OocConfig, OutOfCoreGpu,
+};
 use proptest::prelude::*;
 use sparse::gen::{erdos_renyi, locality_graph};
 use sparse::CsrMatrix;
@@ -233,6 +235,45 @@ proptest! {
 // PR 8 satellites: executors that accept an estimator must consume it
 // (no silent flag drops), and chained runs must adapt their headroom
 // from observed hit-rates instead of re-applying the fixed margin.
+
+/// Table III's setup: `repro` pins every run to the plan of the
+/// speculative async run. On a locality graph the planner's estimate
+/// understates the diagonal chunks, so on that grid some exact chunks
+/// outgrow their pool epoch. The exact device pass re-splits them like
+/// any other oversized chunk: the exhaustive ratio search prices every
+/// GPU prefix, and an exact run returns the reference product.
+#[test]
+fn exact_runs_re_split_oversized_chunks_of_a_pinned_speculative_grid() {
+    let a = locality_graph(1500, 28.0, 8, 0.002, 7);
+    let expect = cpu_spgemm::reference::multiply(&a, &a).unwrap();
+    let device_bytes = sparse::stats::symbolic_nnz(&a, &a) as u64 * 12 / 8;
+    assert_eq!(device_bytes, 240_022);
+    let spec = OocConfig::with_device_memory(device_bytes);
+    let plan = OutOfCoreGpu::new(spec.clone())
+        .multiply(&a, &a)
+        .unwrap()
+        .plan;
+    assert_eq!((plan.row_panels(), plan.col_panels()), (9, 10));
+    let pinned = spec.panels(9, 10);
+
+    let hybrid = HybridConfig {
+        gpu: pinned.clone(),
+        ..HybridConfig::paper_default()
+    };
+    let search = Hybrid::new(hybrid).ratio_search(&a, &a).unwrap();
+    assert_eq!(search.per_g.len(), 91);
+    assert!(search.best_ns <= search.ratio_ns);
+
+    let exact = OutOfCoreGpu::new(pinned.estimator(EstimateConfig::exact()))
+        .multiply(&a, &a)
+        .unwrap();
+    assert_eq!(exact.c, expect, "exact C differs from the reference");
+    assert!(
+        exact.recovery.resplits > 0,
+        "no exact chunk outgrew its epoch: {}",
+        exact.recovery.summary()
+    );
+}
 
 #[test]
 fn hybrid_consumes_the_estimator_and_stays_bit_identical() {

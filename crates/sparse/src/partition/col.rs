@@ -24,7 +24,7 @@
 //! the bench crate ablates their cost.
 
 use crate::csr::{ColId, CsrMatrix};
-use crate::partition::{even_ranges, weighted_ranges};
+use crate::partition::even_ranges;
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -99,16 +99,6 @@ fn validate_ranges(b: &CsrMatrix, ranges: &[Range<usize>]) {
 /// Equal-width column ranges for `k` panels.
 pub fn even_col_ranges(b: &CsrMatrix, k: usize) -> Vec<Range<usize>> {
     even_ranges(b.n_cols(), k)
-}
-
-/// Column ranges balanced by per-column nnz (so panels carry similar
-/// amounts of `B` data).
-pub fn nnz_balanced_col_ranges(b: &CsrMatrix, k: usize) -> Vec<Range<usize>> {
-    let mut col_nnz = vec![0u64; b.n_cols()];
-    for &c in b.col_ids() {
-        col_nnz[c as usize] += 1;
-    }
-    weighted_ranges(&col_nnz, k)
 }
 
 /// Paper's "simplistic implementation": per panel, rescan all rows.
@@ -431,8 +421,20 @@ mod tests {
 
     #[test]
     fn nnz_balanced_ranges_distribute_load() {
+        // The out-of-core planner's column split: B's per-column nnz
+        // prefix through `weighted_ranges_from_prefix`.
         let b = erdos_renyi(100, 100, 0.1, 7);
-        let ranges = nnz_balanced_col_ranges(&b, 4);
+        let mut col_nnz = vec![0u64; b.n_cols()];
+        for &c in b.col_ids() {
+            col_nnz[c as usize] += 1;
+        }
+        let prefix: Vec<u64> = std::iter::once(0)
+            .chain(col_nnz.iter().scan(0, |acc, &n| {
+                *acc += n;
+                Some(*acc)
+            }))
+            .collect();
+        let ranges = crate::partition::weighted_ranges_from_prefix(&prefix, 4);
         assert_eq!(ranges.last().unwrap().end, 100);
         let panels = ColPartitioner::Cursor.partition(&b, &ranges);
         let sizes: Vec<usize> = panels.iter().map(|p| p.matrix.nnz()).collect();

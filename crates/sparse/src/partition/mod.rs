@@ -41,57 +41,16 @@ pub fn even_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Splits `0..weights.len()` into at most `k` contiguous ranges with
-/// approximately equal total weight (greedy sweep against the ideal
-/// cumulative target). Used to balance panels by nnz or flops rather
-/// than raw row/column count.
-pub fn weighted_ranges(weights: &[u64], k: usize) -> Vec<Range<usize>> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    assert!(k > 0, "cannot split {n} items into 0 panels");
-    let k = k.min(n);
-    let total: u64 = weights.iter().sum();
-    if total == 0 {
-        return even_ranges(n, k);
-    }
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    let mut consumed = 0u64;
-    for panel in 0..k {
-        let remaining_panels = (k - panel) as u64;
-        let target = (total - consumed).div_ceil(remaining_panels);
-        let mut end = start;
-        while end < n && (acc < target || end == start) {
-            // Leave at least one item per remaining panel.
-            if n - end < k - panel {
-                break;
-            }
-            acc += weights[end];
-            end += 1;
-        }
-        out.push(start..end);
-        consumed += acc;
-        acc = 0;
-        start = end;
-        if start == n {
-            break;
-        }
-    }
-    if start < n {
-        out.last_mut().unwrap().end = n;
-    }
-    out
-}
-
-/// [`weighted_ranges`] computed from an exclusive prefix sum of the
-/// weights (`prefix[i]` = sum of the first `i` weights, so
-/// `prefix.len() == n + 1`). Produces bit-identical ranges to the
-/// greedy sweep but costs `O(k log n)` instead of `O(n)` per call,
-/// which matters when the same weights are re-partitioned many times
-/// (the planner's incremental grid search).
+/// Splits `0..n` into at most `k` contiguous ranges with approximately
+/// equal total weight, given an exclusive prefix sum of the weights
+/// (`prefix[i]` = sum of the first `i` weights, so `prefix.len() == n +
+/// 1`). Each range takes items while its weight is below the ideal
+/// cumulative target, at least one item, and never so many that a
+/// later range would be left empty; all-zero weights split evenly.
+/// Binary search makes a call `O(k log n)`, which matters when the same
+/// weights are re-partitioned many times (the planner's incremental
+/// grid search). The out-of-core planner balances row panels by flops
+/// and column panels by `B` nnz with it.
 pub fn weighted_ranges_from_prefix(prefix: &[u64], k: usize) -> Vec<Range<usize>> {
     assert!(!prefix.is_empty(), "prefix sum must have n + 1 entries");
     let n = prefix.len() - 1;
@@ -132,6 +91,61 @@ pub fn weighted_ranges_from_prefix(prefix: &[u64], k: usize) -> Vec<Range<usize>
 mod tests {
     use super::*;
 
+    /// Splits `0..weights.len()` into at most `k` contiguous ranges with
+    /// approximately equal total weight (greedy sweep against the ideal
+    /// cumulative target). The test oracle of
+    /// [`weighted_ranges_from_prefix`], the split the planner runs.
+    fn weighted_ranges(weights: &[u64], k: usize) -> Vec<Range<usize>> {
+        let n = weights.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        assert!(k > 0, "cannot split {n} items into 0 panels");
+        let k = k.min(n);
+        let total: u64 = weights.iter().sum();
+        if total == 0 {
+            return even_ranges(n, k);
+        }
+        let mut out = Vec::with_capacity(k);
+        let mut start = 0usize;
+        let mut acc = 0u64;
+        let mut consumed = 0u64;
+        for panel in 0..k {
+            let remaining_panels = (k - panel) as u64;
+            let target = (total - consumed).div_ceil(remaining_panels);
+            let mut end = start;
+            while end < n && (acc < target || end == start) {
+                // Leave at least one item per remaining panel.
+                if n - end < k - panel {
+                    break;
+                }
+                acc += weights[end];
+                end += 1;
+            }
+            out.push(start..end);
+            consumed += acc;
+            acc = 0;
+            start = end;
+            if start == n {
+                break;
+            }
+        }
+        if start < n {
+            out.last_mut().unwrap().end = n;
+        }
+        out
+    }
+
+    /// The exclusive prefix sum of `weights`.
+    fn prefix_of(weights: &[u64]) -> Vec<u64> {
+        std::iter::once(0)
+            .chain(weights.iter().scan(0, |acc, &w| {
+                *acc += w;
+                Some(*acc)
+            }))
+            .collect()
+    }
+
     #[test]
     fn even_ranges_cover_exactly() {
         for n in [0usize, 1, 5, 16, 17] {
@@ -158,7 +172,7 @@ mod tests {
     #[test]
     fn weighted_ranges_balance_weight() {
         let w = [10u64, 1, 1, 1, 1, 10, 1, 1, 1, 1];
-        let r = weighted_ranges(&w, 2);
+        let r = weighted_ranges_from_prefix(&prefix_of(&w), 2);
         assert_eq!(r.len(), 2);
         let sum0: u64 = w[r[0].clone()].iter().sum();
         let sum1: u64 = w[r[1].clone()].iter().sum();
@@ -171,7 +185,7 @@ mod tests {
     #[test]
     fn weighted_ranges_handles_zero_weights() {
         let w = [0u64; 8];
-        let r = weighted_ranges(&w, 4);
+        let r = weighted_ranges_from_prefix(&prefix_of(&w), 4);
         assert_eq!(r.len(), 4);
         assert_eq!(r.last().unwrap().end, 8);
     }
@@ -179,7 +193,7 @@ mod tests {
     #[test]
     fn weighted_ranges_more_panels_than_items() {
         let w = [5u64, 5];
-        let r = weighted_ranges(&w, 10);
+        let r = weighted_ranges_from_prefix(&prefix_of(&w), 10);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0], 0..1);
         assert_eq!(r[1], 1..2);
@@ -188,7 +202,7 @@ mod tests {
     #[test]
     fn weighted_ranges_single_heavy_item() {
         let w = [100u64, 1, 1, 1];
-        let r = weighted_ranges(&w, 3);
+        let r = weighted_ranges_from_prefix(&prefix_of(&w), 3);
         assert_eq!(r.iter().map(|x| x.len()).sum::<usize>(), 4);
         assert_eq!(r[0], 0..1, "heavy head takes its own panel");
     }
@@ -215,11 +229,7 @@ mod tests {
                     _ => r % 50,
                 };
             }
-            let mut prefix = Vec::with_capacity(n + 1);
-            prefix.push(0u64);
-            for &w in &weights {
-                prefix.push(prefix.last().unwrap() + w);
-            }
+            let prefix = prefix_of(&weights);
             for k in [1usize, 2, 3, 5, 8, n, 2 * n] {
                 assert_eq!(
                     weighted_ranges(&weights, k),

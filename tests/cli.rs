@@ -130,11 +130,11 @@ fn suite_input_and_auto_ratio() {
 #[test]
 fn bad_arguments_exit_nonzero() {
     for args in [
-        vec!["--executor", "warp-drive"],
+        // With an input, so the executor name alone is what fails.
+        vec!["--gen", "rmat:6:200:1", "--executor", "warp-drive"],
         vec!["--gen", "not-a-spec"],
         vec!["--suite", "not-a-matrix"],
-        // The removed bitmap-sketch estimator. With an input, so the
-        // name alone is what fails.
+        // The removed bitmap-sketch estimator, likewise with an input.
         vec!["--gen", "rmat:6:200:1", "--estimator", "hash-sketch"],
     ] {
         let out = spgemm().args(&args).output().expect("spawn spgemm");
