@@ -5,15 +5,21 @@ use sparse::ColId;
 
 /// Accumulates one row in a dense `f64` array indexed by column id.
 ///
-/// Occupancy is tracked with a generation-stamped marker array, so
-/// clearing between rows is `O(1)` (bump the generation) rather than
-/// `O(width)` — the standard trick that makes dense accumulation
-/// practical across millions of rows.
+/// Occupancy is one bit per column. `add` assigns a column's first
+/// product and adds later ones in insertion order, so each value is
+/// the same float sum the other accumulators compute. The flush emits
+/// the row in ascending column order and zeroes every bitmap word the
+/// row set, so the bitmap is all zero between rows and clearing never
+/// costs `O(width)`. A row of `n` columns whose span covers fewer than
+/// `n·log2(n)` bitmap words — as the long rows of a low-compression
+/// graph product do — is emitted by walking those words with
+/// `trailing_zeros`, with no sort; a sparser-spread row sorts its
+/// touched list. Both orders are ascending column order over the same
+/// values, so the choice never changes the row.
 #[derive(Clone, Debug)]
 pub struct DenseAccumulator {
     values: Vec<f64>,
-    stamps: Vec<u32>,
-    generation: u32,
+    occupied: Vec<u64>,
     touched: Vec<ColId>,
 }
 
@@ -23,8 +29,7 @@ impl DenseAccumulator {
     pub fn new(width: usize) -> Self {
         DenseAccumulator {
             values: vec![0.0; width],
-            stamps: vec![0; width],
-            generation: 1,
+            occupied: vec![0; width.div_ceil(64)],
             touched: Vec::new(),
         }
     }
@@ -35,27 +40,55 @@ impl DenseAccumulator {
     }
 
     /// Grows the accumulator to cover columns `0..width` (no-op when it
-    /// already does). New slots carry stamp 0, which no live generation
-    /// matches, so they read as untouched; one worker-scoped
-    /// accumulator can thus serve panels of different widths without a
-    /// fresh width-sized allocation per panel.
+    /// already does). New columns start unoccupied, so one
+    /// worker-scoped accumulator can serve panels of different widths
+    /// without a fresh width-sized allocation per panel.
     pub fn ensure_width(&mut self, width: usize) {
         if width > self.values.len() {
             self.values.resize(width, 0.0);
-            self.stamps.resize(width, 0);
+            self.occupied.resize(width.div_ceil(64), 0);
         }
     }
 
-    fn bump_generation(&mut self) {
-        self.generation = match self.generation.checked_add(1) {
-            Some(g) => g,
-            None => {
-                // Stamp wrap-around: reset all stamps once every 2^32
-                // rows instead of clearing values every row.
-                self.stamps.fill(0);
-                1
+    /// Writes the row, sorted by column, into `cols`/`vals` — which
+    /// must hold exactly [`Accumulator::len`] slots — then clears the
+    /// accumulator for the next row.
+    pub fn flush_into_slices(&mut self, cols: &mut [ColId], vals: &mut [f64]) {
+        let n = self.touched.len();
+        assert!(
+            cols.len() == n && vals.len() == n,
+            "output slices hold {} / {} slots for a row of {n}",
+            cols.len(),
+            vals.len()
+        );
+        let (lo, hi) = self
+            .touched
+            .iter()
+            .fold((ColId::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+        let (first, last) = (lo as usize / 64, hi as usize / 64);
+        // Walking the bitmap costs one word per 64 columns of the row's
+        // span; sorting the touched list costs about n·log2(n).
+        if n > 1 && last - first < n * n.ilog2() as usize {
+            let mut next = 0;
+            for w in first..=last {
+                let mut bits = std::mem::take(&mut self.occupied[w]);
+                while bits != 0 {
+                    let c = w * 64 + bits.trailing_zeros() as usize;
+                    cols[next] = c as ColId;
+                    vals[next] = self.values[c];
+                    next += 1;
+                    bits &= bits - 1;
+                }
             }
-        };
+        } else {
+            self.touched.sort_unstable();
+            for ((oc, ov), &c) in cols.iter_mut().zip(vals.iter_mut()).zip(&self.touched) {
+                *oc = c;
+                *ov = self.values[c as usize];
+                self.occupied[c as usize / 64] = 0;
+            }
+        }
+        self.touched.clear();
     }
 }
 
@@ -67,10 +100,12 @@ impl Accumulator for DenseAccumulator {
             i < self.values.len(),
             "column {col} out of accumulator width"
         );
-        if self.stamps[i] == self.generation {
+        let bit = 1u64 << (i % 64);
+        let word = &mut self.occupied[i / 64];
+        if *word & bit != 0 {
             self.values[i] += val;
         } else {
-            self.stamps[i] = self.generation;
+            *word |= bit;
             self.values[i] = val;
             self.touched.push(col);
         }
@@ -81,20 +116,17 @@ impl Accumulator for DenseAccumulator {
     }
 
     fn flush_into(&mut self, cols: &mut Vec<ColId>, vals: &mut Vec<f64>) {
-        self.touched.sort_unstable();
-        cols.reserve(self.touched.len());
-        vals.reserve(self.touched.len());
-        for &c in &self.touched {
-            cols.push(c);
-            vals.push(self.values[c as usize]);
-        }
-        self.touched.clear();
-        self.bump_generation();
+        let (cs, vs, n) = (cols.len(), vals.len(), self.touched.len());
+        cols.resize(cs + n, 0);
+        vals.resize(vs + n, 0.0);
+        self.flush_into_slices(&mut cols[cs..], &mut vals[vs..]);
     }
 
     fn clear(&mut self) {
+        for &c in &self.touched {
+            self.occupied[c as usize / 64] = 0;
+        }
         self.touched.clear();
-        self.bump_generation();
     }
 }
 
@@ -165,16 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn generation_wraparound_is_safe() {
-        let mut a = DenseAccumulator::new(2);
-        a.generation = u32::MAX - 1;
-        a.add(0, 1.0);
-        a.clear(); // -> u32::MAX
-        a.add(0, 2.0);
-        a.clear(); // wraps, stamps reset
-        a.add(0, 7.0);
-        let (mut c, mut v) = (Vec::new(), Vec::new());
-        a.flush_into(&mut c, &mut v);
-        assert_eq!(v, vec![7.0]);
+    #[should_panic(expected = "output slices hold")]
+    fn short_output_slices_panic() {
+        let mut a = DenseAccumulator::new(4);
+        a.add(1, 1.0);
+        a.add(2, 1.0);
+        a.flush_into_slices(&mut [0], &mut [0.0]);
     }
 }

@@ -47,6 +47,32 @@ impl HashAccumulator {
         self.keys.len()
     }
 
+    /// Writes the row, sorted by column, into `cols`/`vals` — which
+    /// must hold exactly [`Accumulator::len`] slots — then clears the
+    /// table for the next row.
+    pub fn flush_into_slices(&mut self, cols: &mut [ColId], vals: &mut [f64]) {
+        let n = self.len;
+        assert!(
+            cols.len() == n && vals.len() == n,
+            "output slices hold {} / {} slots for a row of {n}",
+            cols.len(),
+            vals.len()
+        );
+        let live = self
+            .keys
+            .iter()
+            .zip(&self.vals)
+            .filter(|(&k, _)| k != EMPTY);
+        for ((oc, ov), (&k, &v)) in cols.iter_mut().zip(vals.iter_mut()).zip(live) {
+            *oc = k;
+            *ov = v;
+        }
+        // Keys are distinct, so an in-place co-sort gives the one
+        // ascending order without a per-row allocation.
+        crate::sort::co_sort_pairs(cols, vals);
+        self.clear();
+    }
+
     fn grow(&mut self) {
         let new_cap = self.keys.len() * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
@@ -88,21 +114,10 @@ impl Accumulator for HashAccumulator {
     }
 
     fn flush_into(&mut self, cols: &mut Vec<ColId>, vals: &mut Vec<f64>) {
-        let start = cols.len();
-        cols.reserve(self.len);
-        vals.reserve(self.len);
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k != EMPTY {
-                cols.push(k);
-                vals.push(self.vals[i]);
-            }
-        }
-        // Sort the appended region by column id in place, permuting the
-        // values in tandem. Keys are distinct, so this is bit-identical
-        // to the permutation-vector sort it replaced — without that
-        // path's three per-row heap allocations.
-        crate::sort::co_sort_pairs(&mut cols[start..], &mut vals[start..]);
-        self.clear();
+        let (cs, vs, n) = (cols.len(), vals.len(), self.len);
+        cols.resize(cs + n, 0);
+        vals.resize(vs + n, 0.0);
+        self.flush_into_slices(&mut cols[cs..], &mut vals[vs..]);
     }
 
     fn clear(&mut self) {

@@ -8,11 +8,17 @@
 //! II-B) uses two methods, following spECK and Nagasaka et al.:
 //!
 //! * [`DenseAccumulator`] — a dense value array indexed directly by
-//!   column id. Fast for rows whose output is relatively dense; memory
-//!   proportional to the (panel) column width.
+//!   column id, with one occupancy bit per column. Fast for rows whose
+//!   output is relatively dense; memory proportional to the (panel)
+//!   column width. It emits a row by walking the occupancy bitmap in
+//!   column order, so a low-compression row needs no sort.
 //! * [`HashAccumulator`] — open-addressing hash map keyed by column id,
 //!   sized from an upper-bound estimate, sorted at flush. Better for
 //!   sparse output rows.
+//!
+//! Both also flush straight into a caller's exact output slices
+//! (`flush_into_slices`), which is how the CPU kernel writes each row
+//! of `C` in place.
 //!
 //! [`SortAccumulator`] (expand-sort-compress, the ESC method of
 //! Bell/Dalton/Olson) is included as the classical baseline, and

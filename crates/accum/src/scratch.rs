@@ -1,18 +1,20 @@
 //! Worker-scoped reusable scratch for the SpGEMM phases.
 //!
-//! Symbolic counters, numeric accumulators and per-row staging vectors
-//! are width-sized or grow with the row; allocating them per chunk
-//! would dominate small-chunk compute. This module keeps them in a
-//! [`RowScratch`] bundle that a [`ScratchPool`] lends to workers: the
-//! first few rows warm a worker's scratch up to its high-water
-//! capacity, after which row compute performs **zero heap allocation**
-//! (asserted by the counting-allocator test in
-//! `cpu-spgemm/tests/alloc_free.rs`).
+//! Symbolic counters and numeric accumulators are width-sized or grow
+//! with the row; allocating them per chunk would dominate small-chunk
+//! compute. This module keeps them in a [`RowScratch`] bundle that a
+//! [`ScratchPool`] lends to workers: the first few rows warm a worker's
+//! scratch up to its high-water capacity, after which row compute
+//! performs **zero heap allocation** (asserted by the counting-allocator
+//! test in `cpu-spgemm/tests/alloc_free.rs`). A numeric row is flushed
+//! straight into the caller's exact output slices, with no staging
+//! copy in between.
 //!
-//! Reuse is safe for bit-identical results: dense counters and
-//! accumulators are generation-stamped (stale slots read as untouched),
-//! and hash flushes sort by distinct column id, so neither a carried
-//! capacity nor a previous panel's width can change any output.
+//! Reuse is safe for bit-identical results: dense counters are
+//! generation-stamped (stale slots read as untouched), the dense
+//! accumulator's flush zeroes every occupancy bit it set, and hash
+//! flushes sort by distinct column id, so neither a carried capacity
+//! nor a previous panel's width can change any output.
 
 use crate::counter::SymbolicCounter;
 use crate::{
@@ -27,17 +29,13 @@ use std::sync::Mutex;
 pub const DENSE_WIDTH_LIMIT: usize = 1 << 17;
 
 /// One worker's reusable scratch: symbolic counters, numeric
-/// accumulators, row staging buffers, and per-chunk row arrays.
+/// accumulators, and per-chunk row arrays.
 #[derive(Debug)]
 pub struct RowScratch {
     dense_counter: DenseCounter,
     hash_counter: HashCounter,
     dense: DenseAccumulator,
     hash: HashAccumulator,
-    /// Staging columns for the row being flushed.
-    pub cols: Vec<ColId>,
-    /// Staging values for the row being flushed.
-    pub vals: Vec<f64>,
     /// Reusable per-row `u64` buffer (chunk preparation keeps row flop
     /// counts here).
     pub flops_buf: Vec<u64>,
@@ -53,8 +51,6 @@ impl Default for RowScratch {
             hash_counter: HashCounter::with_expected(64),
             dense: DenseAccumulator::new(0),
             hash: HashAccumulator::with_expected(64),
-            cols: Vec::new(),
-            vals: Vec::new(),
             flops_buf: Vec::new(),
             nnz_buf: Vec::new(),
         }
@@ -97,8 +93,8 @@ impl RowScratch {
     /// symbolic size), accumulating with `kind`, which the caller picks
     /// (`cpu_spgemm::parallel_hash` picks by `width` alone).
     ///
-    /// Allocation-free at steady state: the accumulators and staging
-    /// vectors retain their high-water capacity across rows and chunks.
+    /// Allocation-free at steady state: the accumulators retain their
+    /// high-water capacity across rows and chunks.
     pub fn accumulate_row_into(
         &mut self,
         products: impl IntoIterator<Item = (ColId, f64)>,
@@ -107,29 +103,20 @@ impl RowScratch {
         out_c: &mut [ColId],
         out_v: &mut [f64],
     ) {
-        self.cols.clear();
-        self.vals.clear();
         match kind {
             AccumulatorKind::Dense => {
                 self.dense.ensure_width(width);
                 let acc = &mut self.dense;
                 // Internal iteration: see `count_row`.
                 products.into_iter().for_each(|(c, v)| acc.add(c, v));
-                self.dense.flush_into(&mut self.cols, &mut self.vals);
+                acc.flush_into_slices(out_c, out_v);
             }
             AccumulatorKind::Hash => {
                 let acc = &mut self.hash;
                 products.into_iter().for_each(|(c, v)| acc.add(c, v));
-                self.hash.flush_into(&mut self.cols, &mut self.vals);
+                acc.flush_into_slices(out_c, out_v);
             }
         }
-        debug_assert_eq!(
-            self.cols.len(),
-            out_c.len(),
-            "symbolic/numeric row size mismatch"
-        );
-        out_c.copy_from_slice(&self.cols);
-        out_v.copy_from_slice(&self.vals);
     }
 
     /// Leases the bundle's dense accumulator grown to `width` — for

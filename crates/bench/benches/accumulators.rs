@@ -4,21 +4,42 @@
 
 use accum::{Accumulator, DenseAccumulator, HashAccumulator, SortAccumulator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
-const WIDTH: usize = 1 << 16;
+/// Row shapes `(products, distinct, width)`. In a 64 Ki width, sparse
+/// rows favour the hash map and dense rows the dense array — spECK's
+/// per-row density rule (the library's one kernel picks by panel width
+/// instead, DESIGN.md §15) — at 4–8 products per distinct column. The
+/// 8 Ki shapes are low-compression graph rows: the R-MAT social
+/// products of `e2e`'s `hybrid-social` have 8192 columns and 1.07–1.26
+/// products per output entry, so emitting a row in column order costs
+/// more there than accumulating it.
+const SHAPES: [(usize, usize, usize); 5] = [
+    (256, 64, 1 << 16),
+    (4096, 512, 1 << 16),
+    (32768, 8192, 1 << 16),
+    (600, 512, 8192),
+    (2400, 2048, 8192),
+];
 
-/// Pre-generated insertion sequences: `products` inserts drawn from
-/// `distinct` distinct columns.
-fn sequence(products: usize, distinct: usize, seed: u64) -> Vec<(u32, f64)> {
+/// Pre-generated insertion sequence: `products` inserts that hit
+/// exactly `distinct` distinct columns of `0..width`, in random order.
+fn sequence(products: usize, distinct: usize, width: usize, seed: u64) -> Vec<(u32, f64)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let cols: Vec<u32> = (0..distinct)
-        .map(|_| rng.gen_range(0..WIDTH as u32))
-        .collect();
-    (0..products)
-        .map(|_| (cols[rng.gen_range(0..distinct)], rng.gen_range(-1.0..1.0)))
+    let mut set = BTreeSet::new();
+    while set.len() < distinct {
+        set.insert(rng.gen_range(0..width as u32));
+    }
+    let cols: Vec<u32> = set.into_iter().collect();
+    let mut seq = cols.clone();
+    seq.extend((distinct..products).map(|_| cols[rng.gen_range(0..distinct)]));
+    seq.shuffle(&mut rng);
+    seq.into_iter()
+        .map(|c| (c, rng.gen_range(-1.0..1.0)))
         .collect()
 }
 
@@ -38,15 +59,12 @@ fn run<A: Accumulator>(
 
 fn bench_accumulators(c: &mut Criterion) {
     let mut group = c.benchmark_group("accumulators");
-    // (products, distinct): sparse rows favour the hash map, dense rows
-    // the dense array — spECK's per-row density rule. The library's one
-    // kernel picks by panel width instead (DESIGN.md §15).
-    for &(products, distinct) in &[(256usize, 64usize), (4096, 512), (32768, 8192)] {
-        let seq = sequence(products, distinct, 42);
+    for &(products, distinct, width) in &SHAPES {
+        let seq = sequence(products, distinct, width, 42);
         group.throughput(Throughput::Elements(products as u64));
-        let label = format!("{products}x{distinct}");
+        let label = format!("{products}x{distinct}/w{width}");
         group.bench_with_input(BenchmarkId::new("dense", &label), &seq, |b, seq| {
-            let mut acc = DenseAccumulator::new(WIDTH);
+            let mut acc = DenseAccumulator::new(width);
             let (mut oc, mut ov) = (Vec::new(), Vec::new());
             b.iter(|| run(black_box(&mut acc), seq, &mut oc, &mut ov));
         });

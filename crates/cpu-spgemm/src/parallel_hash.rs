@@ -16,7 +16,9 @@
 //!    by the width of `B`: a dense array while `b.n_cols() ≤`
 //!    [`DENSE_WIDTH_LIMIT`] (it stays cache-resident), a hash map
 //!    beyond. Both fold products in the same order, so the choice never
-//!    changes `C`.
+//!    changes `C`. Each row is flushed in column order straight into
+//!    its exact slice of `C` — the dense accumulator by walking its
+//!    occupancy bitmap — with no staging copy.
 //!
 //! Row blocks are independent tasks, so one pathological row holds up
 //! only its own block — the load-balancing role Nagasaka et al. give

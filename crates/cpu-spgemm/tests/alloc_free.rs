@@ -5,9 +5,12 @@
 //! This pins both kernels' row loops: `parallel_hash`'s symbolic count
 //! and dense-row numeric fill — the loop every chunk preparation runs —
 //! and the pooled dense accumulator `dense_blocked` leases per panel.
-//! Two products of different widths alternate through one pool, as a
+//! Products of different widths alternate through one pool, as a
 //! grid's column panels do, so `ensure_width` reuse across widths is
-//! pinned too.
+//! pinned too. The dense accumulator emits every row of the first two
+//! products by walking its occupancy bitmap; the third is 30 000
+//! columns wide and hypersparse, so it sorts 69 of its rows and walks
+//! 27, which pins both flush paths.
 //!
 //! This file deliberately holds a single `#[test]` — the counter is
 //! process-global, and a concurrent test in the same binary would
@@ -165,12 +168,16 @@ fn steady_state_cpu_kernels_are_allocation_free() {
             sparse::gen::erdos_renyi(150, 120, 0.08, 3),
             sparse::gen::erdos_renyi(120, 90, 0.08, 4),
         ),
+        Job::new(
+            sparse::gen::erdos_renyi(100, 80, 0.05, 5),
+            sparse::gen::erdos_renyi(80, 30_000, 0.0005, 6),
+        ),
     ];
     assert_ne!(jobs[0].b.n_cols(), jobs[1].b.n_cols());
     let pool = ScratchPool::new();
 
     // Warm-up: grows the counters, the dense accumulator, and the
-    // staging vectors to their high-water capacity across both widths.
+    // staging vectors to their high-water capacity across all widths.
     for job in &mut jobs {
         job.pass(&pool);
     }

@@ -1,12 +1,15 @@
 //! Property tests: every CPU kernel returns the sequential reference's
 //! product **bit for bit** — same offsets, same columns, same value
-//! bits — on random, banded, empty-row-heavy, and wide inputs. The wide
-//! inputs put `B` past `DENSE_WIDTH_LIMIT`, so `parallel_hash` runs its
-//! hash accumulator there and its dense one on every other input.
+//! bits — on random, banded, empty-row-heavy, skewed and wide inputs.
+//! The wide inputs put `B` past `DENSE_WIDTH_LIMIT`, so `parallel_hash`
+//! runs its hash accumulator there and its dense one on every other
+//! input; the skewed inputs give the dense accumulator rows for both of
+//! its flush paths.
 
 use accum::DENSE_WIDTH_LIMIT;
 use cpu_spgemm::{dense_blocked, multiply_with_kernel, reference, CpuKernel};
 use proptest::prelude::*;
+use sparse::gen::{rmat, RmatConfig};
 use sparse::{CooMatrix, CsrMatrix};
 
 /// Asserts structural and bit-level equality of two CSR matrices.
@@ -90,6 +93,28 @@ fn arb_sparse_rows_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
     })
 }
 
+/// Skewed, low-compression pair at widths of a few hundred columns
+/// that are not multiples of 64: R-MAT graphs on 512 vertices with
+/// `B` cut to its first `n` columns. Hub rows give output rows of more
+/// than 64 distinct columns across several bitmap words, at about 1.4
+/// products per output entry, which the dense accumulator emits by
+/// walking its bitmap; tail rows give rows of a few spread columns,
+/// which it sorts.
+fn arb_skewed_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    (any::<u64>(), 1000..2500usize, 4..8usize, 1..64usize).prop_map(|(seed, edges, words, rem)| {
+        let n = words * 64 + rem;
+        let a = rmat(RmatConfig::skewed(9, edges), seed);
+        let g = rmat(RmatConfig::skewed(9, edges), seed ^ 1);
+        let cut = g.iter().filter(|&(_, c, _)| (c as usize) < n);
+        let b = coo_from(
+            g.n_rows(),
+            n,
+            cut.map(|(r, c, v)| (r, c as usize, v)).collect(),
+        );
+        (a, b)
+    })
+}
+
 /// Pair whose `B` is just wider than `DENSE_WIDTH_LIMIT`. Its entries
 /// sit on 48 columns spread over the whole width, so products still
 /// collide in the accumulator.
@@ -124,6 +149,11 @@ proptest! {
     #[test]
     fn kernels_match_reference_on_empty_rows((a, b) in arb_sparse_rows_pair()) {
         check_kernels(&a, &b, "empty-rows");
+    }
+
+    #[test]
+    fn kernels_match_reference_on_skewed_low_compression((a, b) in arb_skewed_pair()) {
+        check_kernels(&a, &b, "skewed");
     }
 
     #[test]
